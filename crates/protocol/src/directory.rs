@@ -263,13 +263,6 @@ impl Directory {
         self.map.get(line.0).map(|e| self.info_of(line.0, e))
     }
 
-    /// Pull `line`'s root-table slot toward the host L1 ahead of a probe
-    /// (performance hint only).
-    #[inline]
-    pub fn prefetch(&self, line: LineNum) {
-        self.map.prefetch(line.0);
-    }
-
     /// Is the line live anywhere in the machine?
     #[inline]
     pub fn contains(&self, line: LineNum) -> bool {

@@ -17,9 +17,9 @@
 //! * [`replacement`] — AM victim selection fallout: the accept-based
 //!   injection protocol, ownership migration and page-out.
 //!
-//! All statistics flow through the engine's [`EventSink`]
-//! (`coma-stats`): the protocol code reports *what happened* and the
-//! sink turns it into traffic bytes and counters.
+//! All statistics flow through the engine's event sink (`coma-stats`):
+//! the protocol code reports *what happened* and the sink turns it into
+//! traffic bytes and counters.
 
 mod read_path;
 mod replacement;
@@ -30,9 +30,7 @@ use crate::node::NodeState;
 use crate::outcome::Outcome;
 use crate::table::{OpenTable, PageHomes};
 use coma_cache::{AcceptPolicy, AcceptSlot, AmState, SlcState, Victim, VictimPolicy};
-use coma_stats::{
-    AuditSink, BatchedSink, EventSink, Level, ProtocolCounters, ProtocolEvent, Traffic,
-};
+use coma_stats::{AuditSink, Level, ProtocolCounters, ProtocolEvent, Traffic};
 use coma_types::{LineNum, MachineGeometry, NodeId, ProcId, LINE_SHIFT, PAGE_SHIFT};
 
 /// Lines per page (4096 / 64).
@@ -58,12 +56,10 @@ pub struct CoherenceEngine {
     /// Precomputed `proc → (node, index-in-node)` so the per-access hot
     /// path never divides (ProcId::node is a `/`, index_in_node a `%`).
     proc_map: Box<[(u16, u16)]>,
-    /// Where every protocol event lands: batched traffic + counters,
-    /// behind the audit decorator that (when armed) still sees every
-    /// event unbatched. The driver calls [`Self::flush_stats`] at sync
-    /// points; [`Self::traffic`] / [`Self::counters`] require a flush
-    /// first (debug-asserted inside `BatchedSink::sink`).
-    sink: AuditSink<BatchedSink>,
+    /// Where every protocol event lands: traffic + counters, behind the
+    /// audit decorator that (when armed) also tallies transactions per
+    /// access.
+    sink: AuditSink,
 }
 
 impl CoherenceEngine {
@@ -116,7 +112,7 @@ impl CoherenceEngine {
             intra_node_transfers,
             inclusive_hierarchy,
             proc_map,
-            sink: AuditSink::new(BatchedSink::new()),
+            sink: AuditSink::default(),
         }
     }
 
@@ -136,18 +132,6 @@ impl CoherenceEngine {
         let out = self.write_inner(proc, line);
         self.audit_after();
         out
-    }
-
-    /// Hint the host CPU to pull the state a `proc` access of `line`
-    /// will probe — private caches, residency filter, AM set, directory
-    /// slot — toward L1. The driver calls this one operation ahead, so
-    /// the (host-cold) probes overlap the current operation's work.
-    /// Purely a performance hint: no simulated state is read or written.
-    #[inline]
-    pub fn prefetch(&self, proc: ProcId, line: LineNum) {
-        let (n, pidx) = self.proc_map[proc.as_usize()];
-        self.nodes[n as usize].prefetch_access(pidx as usize, line);
-        self.dir.prefetch(line);
     }
 
     /// Live invariant audit: runs after every access that emitted a
@@ -178,33 +162,16 @@ impl CoherenceEngine {
         self.sink.record(ev);
     }
 
-    /// Apply all batched event counts to the global totals. The driver
-    /// calls this at sync points and before reading statistics; every
-    /// counter is a plain sum, so flush placement never changes totals.
-    #[inline]
-    pub fn flush_stats(&mut self) {
-        self.sink.inner.flush();
-    }
-
-    /// Forward every event straight to the global counters instead of
-    /// batching (reference mode for the batching differential tests).
-    #[doc(hidden)]
-    pub fn set_direct_stats(&mut self, on: bool) {
-        self.sink.inner.set_direct(on);
-    }
-
-    /// Global bus traffic, decomposed as in Figures 3–4. Requires a
-    /// preceding [`Self::flush_stats`] (debug-asserted).
+    /// Global bus traffic, decomposed as in Figures 3–4.
     #[inline]
     pub fn traffic(&self) -> &Traffic {
-        &self.sink.inner.sink().traffic
+        &self.sink.inner.traffic
     }
 
-    /// Replacement / allocation event counters; same flush requirement
-    /// as [`Self::traffic`].
+    /// Replacement / allocation event counters.
     #[inline]
     pub fn counters(&self) -> &ProtocolCounters {
-        &self.sink.inner.sink().counters
+        &self.sink.inner.counters
     }
 
     /// Does any private cache in `node_idx` still hold `line`? Gated on

@@ -27,28 +27,20 @@ pub trait MemorySystem {
     /// Perform a processor write of `line` (ownership acquisition).
     fn write(&mut self, proc: ProcId, line: LineNum) -> Outcome;
 
-    /// Hint that `proc` is about to access `line`: pull the host cache
-    /// lines its probe path will touch toward L1. Purely a performance
-    /// hint — implementations must not change any simulated state — so
-    /// the no-op default is always correct.
-    fn prefetch(&self, _proc: ProcId, _line: LineNum) {}
-
     /// The machine geometry this system was built for.
     fn geometry(&self) -> &MachineGeometry;
 
-    /// Apply any internally batched statistics to the global totals.
-    /// The driver calls this at sync points and before reading
-    /// [`Self::traffic`] / [`Self::counters`]; systems that count
-    /// directly need not override the no-op default. Every statistic is
-    /// a plain sum, so flush placement never changes final totals.
+    /// Bring any statistics an external system defers up to date. No
+    /// in-tree system batches — the built-in engines count every event
+    /// as it happens and keep the no-op default — so this only matters
+    /// to external implementations; the driver calls it once, after the
+    /// run and before reading [`Self::traffic`] / [`Self::counters`].
     fn flush_stats(&mut self) {}
 
-    /// Global interconnect traffic accumulated so far (after a
-    /// [`Self::flush_stats`]).
+    /// Global interconnect traffic accumulated so far.
     fn traffic(&self) -> &Traffic;
 
-    /// Replacement / allocation event counters accumulated so far (after
-    /// a [`Self::flush_stats`]).
+    /// Replacement / allocation event counters accumulated so far.
     fn counters(&self) -> &ProtocolCounters;
 
     /// Verify every internal invariant; returns a description of the
@@ -75,16 +67,8 @@ impl MemorySystem for CoherenceEngine {
         CoherenceEngine::write(self, proc, line)
     }
 
-    fn prefetch(&self, proc: ProcId, line: LineNum) {
-        CoherenceEngine::prefetch(self, proc, line)
-    }
-
     fn geometry(&self) -> &MachineGeometry {
         CoherenceEngine::geometry(self)
-    }
-
-    fn flush_stats(&mut self) {
-        CoherenceEngine::flush_stats(self)
     }
 
     fn traffic(&self) -> &Traffic {
@@ -117,16 +101,8 @@ impl MemorySystem for BaselineEngine {
         BaselineEngine::write(self, proc, line)
     }
 
-    fn prefetch(&self, proc: ProcId, line: LineNum) {
-        BaselineEngine::prefetch(self, proc, line)
-    }
-
     fn geometry(&self) -> &MachineGeometry {
         BaselineEngine::geometry(self)
-    }
-
-    fn flush_stats(&mut self) {
-        BaselineEngine::flush_stats(self)
     }
 
     fn traffic(&self) -> &Traffic {
@@ -153,10 +129,6 @@ impl<M: MemorySystem + ?Sized> MemorySystem for Box<M> {
 
     fn write(&mut self, proc: ProcId, line: LineNum) -> Outcome {
         (**self).write(proc, line)
-    }
-
-    fn prefetch(&self, proc: ProcId, line: LineNum) {
-        (**self).prefetch(proc, line)
     }
 
     fn geometry(&self) -> &MachineGeometry {

@@ -21,7 +21,7 @@
 use crate::outcome::Outcome;
 use crate::table::{OpenTable, PageHomes};
 use coma_cache::{Flc, Slc, SlcState};
-use coma_stats::{BatchedSink, EventSink, Level, ProtocolCounters, ProtocolEvent, Traffic};
+use coma_stats::{CounterSink, Level, ProtocolCounters, ProtocolEvent, Traffic};
 use coma_types::{LineNum, MachineGeometry, NodeId, NodeSet, ProcId, LINE_SHIFT, PAGE_SHIFT};
 
 const PAGE_LINES_SHIFT: u32 = PAGE_SHIFT - LINE_SHIFT;
@@ -91,10 +91,9 @@ pub struct BaselineEngine {
     spill: OpenTable<NodeSet>,
     /// Precomputed `proc → node`, so the miss paths never divide.
     node_map: Box<[NodeId]>,
-    /// Where every protocol event lands: batched traffic + counters (the
-    /// same decomposition as the COMA bus). Flushed by the driver at
-    /// sync points and before any statistics read.
-    sink: BatchedSink,
+    /// Where every protocol event lands: traffic + counters (the same
+    /// decomposition as the COMA bus).
+    sink: CounterSink,
 }
 
 impl BaselineEngine {
@@ -112,7 +111,7 @@ impl BaselineEngine {
             node_map: (0..geom.n_procs)
                 .map(|p| ProcId(p as u16).node(geom.procs_per_node))
                 .collect(),
-            sink: BatchedSink::new(),
+            sink: CounterSink::default(),
         }
     }
 
@@ -194,54 +193,27 @@ impl BaselineEngine {
         readers
     }
 
-    /// Pull the structures a `proc` access of `line` will probe — its FLC
-    /// slot, its SLC set and the directory slot — toward the host L1.
-    /// Performance hint only; no simulated state changes.
-    #[inline]
-    pub fn prefetch(&self, proc: ProcId, line: LineNum) {
-        let p = proc.as_usize();
-        self.flcs[p].prefetch(line);
-        self.slcs[p].prefetch(line);
-        self.dir.prefetch(line.0);
-    }
-
     pub fn geometry(&self) -> &MachineGeometry {
         &self.geom
     }
 
-    /// Apply all batched event counts to the global totals; required
-    /// before reading [`Self::traffic`] / [`Self::counters`].
-    #[inline]
-    pub fn flush_stats(&mut self) {
-        self.sink.flush();
-    }
-
-    /// Forward every event straight to the global counters instead of
-    /// batching (reference mode for the batching differential tests).
-    #[doc(hidden)]
-    pub fn set_direct_stats(&mut self, on: bool) {
-        self.sink.set_direct(on);
-    }
-
-    /// Interconnect traffic, decomposed as on the COMA bus. Requires a
-    /// preceding [`Self::flush_stats`] (debug-asserted).
+    /// Interconnect traffic, decomposed as on the COMA bus.
     #[inline]
     pub fn traffic(&self) -> &Traffic {
-        &self.sink.sink().traffic
+        &self.sink.traffic
     }
 
     /// Protocol event counters (only `remote_writebacks` is ever nonzero
-    /// for the baselines); same flush requirement as [`Self::traffic`].
+    /// for the baselines).
     #[inline]
     pub fn counters(&self) -> &ProtocolCounters {
-        &self.sink.sink().counters
+        &self.sink.counters
     }
 
     /// Dirty write-backs to a remote home (NUMA's replacement analogue).
     #[inline]
-    pub fn remote_writebacks(&mut self) -> u64 {
-        self.sink.flush();
-        self.sink.sink().counters.remote_writebacks
+    pub fn remote_writebacks(&self) -> u64 {
+        self.sink.counters.remote_writebacks
     }
 
     /// Home node of a line (first touch allocates the page).
@@ -477,7 +449,6 @@ mod tests {
         let out = e.read(ProcId(2), LineNum(5));
         assert_eq!(out.level, Level::Remote);
         assert_eq!(out.remote_node, Some(NodeId(0)));
-        e.flush_stats();
         assert_eq!(e.traffic().read_txns, 1);
         e.check_invariants().unwrap();
     }
@@ -553,7 +524,6 @@ mod tests {
                 }
             }
             e.check_invariants().unwrap();
-            e.flush_stats();
             *e.traffic()
         };
         assert_eq!(run(BaselineKind::Numa), run(BaselineKind::Numa));

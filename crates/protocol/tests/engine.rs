@@ -29,7 +29,6 @@ fn cold_read_allocates_locally() {
     let mut e = engine(1, MemoryPressure::MP_50);
     let out = e.read(ProcId(0), LineNum(5));
     assert_eq!(out.level, Level::Am);
-    e.flush_stats();
     assert_eq!(e.counters().cold_allocs, 1);
     assert_eq!(e.traffic().total_txns(), 0);
     e.check_invariants().unwrap();
@@ -46,7 +45,6 @@ fn remote_read_creates_replica_and_owner_downgrade() {
     assert_eq!(out.remote_node, Some(NodeId(0)));
     assert_eq!(e.node(0).am.state(LineNum(5)), AmState::Owner);
     assert_eq!(e.node(2).am.state(LineNum(5)), AmState::Shared);
-    e.flush_stats();
     assert_eq!(e.traffic().read_txns, 1);
     e.check_invariants().unwrap();
 }
@@ -86,7 +84,6 @@ fn write_to_shared_upgrades_and_invalidates() {
     assert_eq!(e.node(1).am.state(LineNum(5)), AmState::Exclusive);
     assert_eq!(e.node(0).am.state(LineNum(5)), AmState::Invalid);
     assert_eq!(e.node(2).am.state(LineNum(5)), AmState::Invalid);
-    e.flush_stats();
     assert_eq!(e.traffic().write_txns, 1);
     e.check_invariants().unwrap();
 }
@@ -172,7 +169,6 @@ fn replacement_pressure_triggers_injections_not_losses() {
     for l in 0..total_lines {
         e.write(ProcId(0), LineNum(l));
     }
-    e.flush_stats();
     assert!(e.counters().injections > 0, "no injections under pressure");
     e.check_invariants().unwrap();
     // Every line is still live somewhere (no pageouts needed: the
@@ -195,7 +191,6 @@ fn ownership_migrates_to_replica_when_possible() {
     for k in 1..=assoc + 1 {
         e.write(ProcId(0), LineNum(k * sets));
     }
-    e.flush_stats();
     assert!(
         e.counters().ownership_migrations > 0,
         "expected ownership migration"
@@ -232,7 +227,6 @@ fn determinism() {
                 e.read(p, l);
             }
         }
-        e.flush_stats();
         (*e.traffic(), *e.counters())
     };
     assert_eq!(run(), run());

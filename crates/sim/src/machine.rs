@@ -103,10 +103,8 @@ impl MemorySystem for Engine {
     }
 
     fn flush_stats(&mut self) {
-        match self {
-            Engine::Coma(e) => e.flush_stats(),
-            Engine::Baseline(e) => e.flush_stats(),
-            Engine::Custom(m) => m.flush_stats(),
+        if let Engine::Custom(m) = self {
+            m.flush_stats();
         }
     }
 
@@ -400,7 +398,6 @@ impl Simulation {
         self.breakdown.sync_ns[pi] += drained - t;
         self.finish[pi] = drained;
         self.n_done += 1;
-        self.mem.flush_stats();
         // If the remaining processors are all waiting at a barrier this
         // processor will never reach, complete it for them.
         if self.barrier.retire_participant() {
@@ -476,7 +473,6 @@ impl Simulation {
             }
             FlatKind::Lock => {
                 let id = rec.id() as usize;
-                self.mem.flush_stats();
                 if self.locks[id].try_acquire(p) {
                     Some(self.rmw(p, self.lock_addrs[id], now))
                 } else {
@@ -486,7 +482,6 @@ impl Simulation {
             }
             FlatKind::Unlock => {
                 let id = rec.id() as usize;
-                self.mem.flush_stats();
                 // Release consistency: drain the write buffer first.
                 let drained = self.wbs.drain(pi, now);
                 self.breakdown.sync_ns[pi] += drained - now;
@@ -502,7 +497,6 @@ impl Simulation {
             }
             FlatKind::Barrier => {
                 let id = rec.id();
-                self.mem.flush_stats();
                 let drained = self.wbs.drain(pi, now);
                 self.breakdown.sync_ns[pi] += drained - now;
                 let counted = self.rmw(p, self.barrier_counter, drained);
@@ -560,6 +554,7 @@ impl Simulation {
             self.n_done, self.n_procs
         );
         let exec_time_ns = self.finish.iter().copied().max().unwrap_or(0);
+        // Built-in engines count directly; an external system may defer.
         self.mem.flush_stats();
         let traffic = *self.mem.traffic();
         let counters = *self.mem.counters();
@@ -583,10 +578,13 @@ impl Simulation {
         &self.mem
     }
 
-    /// The COMA engine, for post-run inspection in tests (None when a
-    /// baseline memory model is configured).
+    /// The built-in COMA engine, for post-run inspection in tests (None
+    /// for a baseline model or a [`Simulation::with_memory`] system).
     pub fn engine(&self) -> Option<&CoherenceEngine> {
-        self.mem.as_any().downcast_ref::<CoherenceEngine>()
+        match &self.mem {
+            Engine::Coma(e) => Some(e),
+            _ => None,
+        }
     }
 }
 

@@ -46,10 +46,6 @@ impl MemorySystem for Recorder {
         self.inner.geometry()
     }
 
-    fn flush_stats(&mut self) {
-        self.inner.flush_stats()
-    }
-
     fn traffic(&self) -> &Traffic {
         self.inner.traffic()
     }

@@ -1,12 +1,13 @@
 //! The observability seam between the protocol engines and everything
-//! that counts: a memory system emits [`ProtocolEvent`]s, an
-//! [`EventSink`] turns them into numbers.
+//! that counts: a memory system emits [`ProtocolEvent`]s, a
+//! [`CounterSink`] turns them into numbers.
 //!
 //! Before this seam existed the engines poked `Traffic` methods and ad-hoc
 //! counter fields directly, so every new statistic meant touching the
 //! protocol code. Now the engines report *what happened* exactly once per
 //! event and the sink decides what to count; experiments, the CLI and
-//! tests all read the same [`CounterSink`] totals.
+//! tests all read the same [`CounterSink`] totals, which are current
+//! after every event.
 
 use crate::traffic::Traffic;
 
@@ -38,40 +39,6 @@ pub enum ProtocolEvent {
     RemoteWriteback,
 }
 
-impl ProtocolEvent {
-    /// Number of distinct event kinds (size of batched count arrays).
-    pub const COUNT: usize = 9;
-
-    /// All event kinds, in [`Self::idx`] order.
-    pub const ALL: [ProtocolEvent; Self::COUNT] = [
-        ProtocolEvent::ReadFill,
-        ProtocolEvent::Upgrade,
-        ProtocolEvent::ReadExclusive,
-        ProtocolEvent::Injection,
-        ProtocolEvent::OwnershipMigration,
-        ProtocolEvent::Pageout,
-        ProtocolEvent::SharedDrop,
-        ProtocolEvent::ColdAlloc,
-        ProtocolEvent::RemoteWriteback,
-    ];
-
-    /// Index into per-event count arrays.
-    #[inline]
-    pub fn idx(self) -> usize {
-        self as usize
-    }
-}
-
-/// Anything that consumes protocol events.
-///
-/// The default implementation every simulation uses is [`CounterSink`];
-/// tests can substitute recording sinks, and future backends (tracing,
-/// sampling, per-node attribution) slot in here without touching the
-/// protocol crates.
-pub trait EventSink {
-    fn record(&mut self, ev: ProtocolEvent);
-}
-
 /// Replacement / allocation event counters (beyond bus traffic).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProtocolCounters {
@@ -99,8 +66,11 @@ pub struct CounterSink {
     pub counters: ProtocolCounters,
 }
 
-impl EventSink for CounterSink {
-    fn record(&mut self, ev: ProtocolEvent) {
+impl CounterSink {
+    /// Count one event. This is the only place an event is mapped to a
+    /// traffic segment and a counter.
+    #[inline]
+    pub fn record(&mut self, ev: ProtocolEvent) {
         match ev {
             ProtocolEvent::ReadFill => self.traffic.record_read_fill(),
             ProtocolEvent::Upgrade => self.traffic.record_upgrade(),
@@ -129,137 +99,8 @@ impl EventSink for CounterSink {
     }
 }
 
-impl CounterSink {
-    /// Record `n` occurrences of `ev` at once. Every counter this sink
-    /// maintains is a plain sum, so bulk application is byte-identical
-    /// to `n` individual [`EventSink::record`] calls — this is what a
-    /// [`BatchedSink`] flush uses.
-    pub fn record_n(&mut self, ev: ProtocolEvent, n: u64) {
-        use crate::traffic::{CMD_TXN_BYTES, DATA_TXN_BYTES};
-        if n == 0 {
-            return;
-        }
-        match ev {
-            ProtocolEvent::ReadFill => {
-                self.traffic.read_txns += n;
-                self.traffic.read_bytes += n * DATA_TXN_BYTES;
-            }
-            ProtocolEvent::Upgrade => {
-                self.traffic.write_txns += n;
-                self.traffic.write_bytes += n * CMD_TXN_BYTES;
-            }
-            ProtocolEvent::ReadExclusive => {
-                self.traffic.write_txns += n;
-                self.traffic.write_bytes += n * DATA_TXN_BYTES;
-            }
-            ProtocolEvent::Injection => {
-                self.traffic.replace_txns += n;
-                self.traffic.replace_bytes += n * DATA_TXN_BYTES;
-                self.counters.injections += n;
-            }
-            ProtocolEvent::OwnershipMigration => {
-                self.traffic.replace_txns += n;
-                self.traffic.replace_bytes += n * CMD_TXN_BYTES;
-                self.counters.ownership_migrations += n;
-            }
-            ProtocolEvent::Pageout => {
-                self.traffic.pageouts += n;
-                self.traffic.replace_txns += n;
-                self.traffic.replace_bytes += n * DATA_TXN_BYTES;
-                self.counters.pageouts += n;
-            }
-            ProtocolEvent::SharedDrop => self.counters.shared_drops += n,
-            ProtocolEvent::ColdAlloc => self.counters.cold_allocs += n,
-            ProtocolEvent::RemoteWriteback => {
-                self.traffic.replace_txns += n;
-                self.traffic.replace_bytes += n * DATA_TXN_BYTES;
-                self.counters.remote_writebacks += n;
-            }
-        }
-    }
-}
-
-/// An [`EventSink`] that batches: the per-event cost is one increment of
-/// a small local count array; the [`CounterSink`]'s scattered traffic
-/// and counter fields are only touched when [`BatchedSink::flush`] runs
-/// (the driver flushes at synchronization points — lock, unlock,
-/// barrier, write-buffer drain — and when building the final report).
-///
-/// Because every number the inner sink maintains is a plain sum, flush
-/// placement cannot change any total: a batched run is byte-identical
-/// to a direct one (pinned by the differential tests). Code that reads
-/// [`Self::sink`] mid-run must flush first; the accessor debug-asserts
-/// that nothing is pending.
-///
-/// `direct` mode (for differential testing) bypasses batching entirely
-/// and forwards each event straight to the inner sink.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BatchedSink {
-    pending: [u64; ProtocolEvent::COUNT],
-    inner: CounterSink,
-    direct: bool,
-}
-
-impl EventSink for BatchedSink {
-    #[inline]
-    fn record(&mut self, ev: ProtocolEvent) {
-        if self.direct {
-            self.inner.record(ev);
-        } else {
-            self.pending[ev.idx()] += 1;
-        }
-    }
-}
-
-impl BatchedSink {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A sink that forwards every event unbatched (reference behavior
-    /// for the batching differential tests).
-    pub fn direct() -> Self {
-        BatchedSink {
-            direct: true,
-            ..Self::default()
-        }
-    }
-
-    /// Switch between batched and direct forwarding. Flushes first, so
-    /// toggling mid-run loses nothing.
-    pub fn set_direct(&mut self, on: bool) {
-        self.flush();
-        self.direct = on;
-    }
-
-    /// Apply all pending counts to the inner [`CounterSink`].
-    pub fn flush(&mut self) {
-        for ev in ProtocolEvent::ALL {
-            let n = std::mem::take(&mut self.pending[ev.idx()]);
-            self.inner.record_n(ev, n);
-        }
-    }
-
-    /// Events recorded since the last flush.
-    pub fn pending_events(&self) -> u64 {
-        self.pending.iter().sum()
-    }
-
-    /// The flushed totals. Callers must [`Self::flush`] first; reading
-    /// with events pending means the totals are stale.
-    #[inline]
-    pub fn sink(&self) -> &CounterSink {
-        debug_assert_eq!(
-            self.pending_events(),
-            0,
-            "reading batched totals with unflushed events pending"
-        );
-        &self.inner
-    }
-}
-
-/// An [`EventSink`] decorator that counts protocol transactions on top of
-/// whatever the inner sink does with them.
+/// A [`CounterSink`] decorator that counts protocol transactions on top
+/// of the totals the inner sink keeps.
 ///
 /// This is the seam the live invariant auditor hangs off: the engines emit
 /// events exactly once per global transaction, so "did this access perform
@@ -268,30 +109,22 @@ impl BatchedSink {
 /// knowing auditing exists. When disarmed (the default) the decorator adds
 /// one predictable branch per event.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct AuditSink<S = CounterSink> {
+pub struct AuditSink {
     /// The decorated sink; totals keep flowing through unchanged.
-    pub inner: S,
+    pub inner: CounterSink,
     armed: bool,
     pending: u32,
 }
 
-impl<S: EventSink> EventSink for AuditSink<S> {
+impl AuditSink {
+    /// Count one event into the inner sink (and, when armed, into the
+    /// per-access transaction tally).
     #[inline]
-    fn record(&mut self, ev: ProtocolEvent) {
+    pub fn record(&mut self, ev: ProtocolEvent) {
         if self.armed {
             self.pending += 1;
         }
         self.inner.record(ev);
-    }
-}
-
-impl<S> AuditSink<S> {
-    pub fn new(inner: S) -> Self {
-        AuditSink {
-            inner,
-            armed: false,
-            pending: 0,
-        }
     }
 
     /// Enable or disable transaction counting.
@@ -359,75 +192,13 @@ mod tests {
     }
 
     #[test]
-    fn all_table_matches_discriminant_order() {
-        for (i, ev) in ProtocolEvent::ALL.into_iter().enumerate() {
-            assert_eq!(ev.idx(), i);
-        }
-    }
-
-    #[test]
-    fn record_n_matches_n_individual_records() {
-        for ev in ProtocolEvent::ALL {
-            for n in [0u64, 1, 2, 7] {
-                let mut bulk = CounterSink::default();
-                bulk.record_n(ev, n);
-                let mut one_by_one = CounterSink::default();
-                for _ in 0..n {
-                    one_by_one.record(ev);
-                }
-                assert_eq!(bulk, one_by_one, "{ev:?} x{n}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_flush_is_byte_identical_to_direct() {
-        // A deterministic pseudo-random event sequence, replayed through a
-        // direct CounterSink and a BatchedSink with flushes interleaved at
-        // arbitrary points: totals must agree exactly.
-        let mut direct = CounterSink::default();
-        let mut batched = BatchedSink::new();
-        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
-        for i in 0..10_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let ev = ProtocolEvent::ALL[(x % ProtocolEvent::COUNT as u64) as usize];
-            direct.record(ev);
-            batched.record(ev);
-            if x.is_multiple_of(37) {
-                batched.flush();
-            }
-            if i == 5000 {
-                // Mid-run read after a flush must already match.
-                batched.flush();
-                assert_eq!(*batched.sink(), direct);
-            }
-        }
-        batched.flush();
-        assert_eq!(batched.pending_events(), 0);
-        assert_eq!(*batched.sink(), direct);
-    }
-
-    #[test]
-    fn direct_mode_bypasses_batching() {
-        let mut s = BatchedSink::direct();
-        s.record(ProtocolEvent::ReadFill);
-        assert_eq!(s.pending_events(), 0);
-        assert_eq!(s.sink().traffic.read_txns, 1);
-    }
-
-    #[test]
-    fn audit_decorator_counts_over_batched_inner() {
-        // The auditor sees every event unbatched even when the inner sink
-        // defers its counting.
-        let mut s: AuditSink<BatchedSink> = AuditSink::new(BatchedSink::new());
+    fn audit_decorator_counts_and_forwards_every_event() {
+        let mut s = AuditSink::default();
         s.arm(true);
         s.record(ProtocolEvent::Upgrade);
         s.record(ProtocolEvent::SharedDrop);
         assert_eq!(s.take_pending(), 2);
-        assert_eq!(s.inner.pending_events(), 2);
-        s.inner.flush();
-        assert_eq!(s.inner.sink().counters.shared_drops, 1);
+        assert_eq!(s.inner.traffic.write_txns, 1);
+        assert_eq!(s.inner.counters.shared_drops, 1);
     }
 }

@@ -24,7 +24,7 @@ pub mod traffic;
 
 pub use chart::{Bar, BarChart, BarGroup};
 pub use counts::{AccessCounts, Level};
-pub use events::{AuditSink, BatchedSink, CounterSink, EventSink, ProtocolCounters, ProtocolEvent};
+pub use events::{AuditSink, CounterSink, ProtocolCounters, ProtocolEvent};
 pub use exec::ExecBreakdown;
 pub use histo::LatencyHisto;
 pub use report::SimReport;

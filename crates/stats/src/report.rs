@@ -7,8 +7,7 @@ use crate::traffic::Traffic;
 use coma_types::Nanos;
 
 /// Everything a single simulation produced. `Eq` is exact — the
-/// byte-identity differential tests (batched sinks, gap fusion) compare
-/// whole reports.
+/// gap-fusion byte-identity differential tests compare whole reports.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimReport {
     /// Wall-clock of the simulated parallel section: the time at which the

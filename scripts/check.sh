@@ -11,9 +11,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> tier-1: cargo build --release && cargo test -q"
+echo "==> tier-1: cargo build --release && cargo test -q (whole workspace)"
 cargo build --release --offline
-cargo test -q --offline
+cargo test -q --workspace --offline
 
 echo "==> sweep smoke: parallel sweep must be byte-identical to serial"
 COMA_SCALE=smoke COMA_THREADS=4 cargo test -q --offline -p coma --test sweep_determinism
