@@ -6,8 +6,8 @@
 //! [`OpArena`] (one fixed-width record per memory/sync operation, with
 //! the preceding compute gap packed inline — see `coma-workloads`), so
 //! the hot loop reads an array instead of re-running generator logic,
-//! and pure compute gaps fuse with the operation they precede whenever
-//! the processor would step straight through anyway (DESIGN.md §13).
+//! and each pure compute gap is folded into the wake-up that precedes
+//! it, so a reference costs at most one queue round-trip (DESIGN.md §13).
 
 use crate::resources::MachineResources;
 use crate::sync::{BarrierState, LockState};
@@ -240,12 +240,12 @@ pub struct Simulation {
     /// One-past-last record index per processor.
     end: Box<[u32]>,
     /// Set when a record's inline gap has been consumed but its
-    /// operation not yet executed (the processor parked in between).
+    /// operation not yet executed.
     gap_done: Box<[bool]>,
-    /// Fold a record's compute gap and its operation into one step when
-    /// the processor would step straight through anyway. Always on in
-    /// real runs; the differential tests switch it off to replay the
-    /// one-event-per-gap reference schedule.
+    /// Fold each record's compute gap into the wake-up scheduled before
+    /// it (`fold_gap`). Always on in real runs; the
+    /// differential tests switch it off to replay the one-event-per-gap
+    /// reference schedule.
     fuse_gaps: bool,
     wbs: WriteBufferArray,
     breakdown: BreakdownSoA,
@@ -306,10 +306,6 @@ impl Simulation {
             &geom,
             params.interconnect.build(&geom, &params.latency),
         );
-        let mut queue = EventQueue::new();
-        for p in 0..n_procs {
-            queue.push(0, ProcId(p as u16));
-        }
         let lock_addrs = (0..workload.n_locks)
             .map(|i| workload.lock_addr(i))
             .collect();
@@ -333,7 +329,7 @@ impl Simulation {
             breakdown: BreakdownSoA::new(n_procs),
             counts: AccessCounts::default(),
             read_latency: coma_stats::LatencyHisto::new(),
-            queue,
+            queue: EventQueue::new(),
             locks: vec![LockState::default(); workload.n_locks as usize],
             barrier: BarrierState::new(n_procs),
             lock_addrs,
@@ -345,10 +341,10 @@ impl Simulation {
         }
     }
 
-    /// Disable the fused compute-gap fast path, restoring the reference
-    /// schedule in which every gap is its own event. Identical results
-    /// either way (pinned by the `gap_fusion` differential tests); only
-    /// the number of driver iterations differs.
+    /// Disable gap folding, restoring the reference schedule in which
+    /// every compute gap is its own event. Identical results either way
+    /// (pinned by the `gap_fusion` differential tests); only the number
+    /// of driver iterations differs.
     #[doc(hidden)]
     pub fn set_fuse_gaps(&mut self, on: bool) {
         self.fuse_gaps = on;
@@ -387,7 +383,7 @@ impl Simulation {
             let start = now.max(parked);
             self.breakdown.sync_ns[q.as_usize()] += start - parked;
             let done = self.do_read(q, self.barrier_flag, start);
-            self.queue.push(done, q);
+            self.schedule(done, q);
         }
     }
 
@@ -405,28 +401,60 @@ impl Simulation {
         }
     }
 
-    /// Execute one compiled record of processor `p` popped at time `t`.
+    /// The wake-up time of processor `p`, whose continuation is due at
+    /// `t`, with the compute gap of its next record folded in.
+    ///
+    /// If that record is an operation with an inline gap not yet
+    /// consumed, the gap is charged to `p`'s busy time now and the
+    /// wake-up moves to `t + gap`. The reference schedule would instead
+    /// wake `p` at `t` only to advance its clock; that event touches
+    /// nothing but `p`'s clock and busy counter, and `p` is neither
+    /// parked nor otherwise observable until it runs again, so skipping
+    /// it leaves the sequence of side-effecting events identical
+    /// (DESIGN.md §13.3). Long gaps stored as their own `Gap` records
+    /// stay events.
+    #[inline]
+    fn fold_gap(&mut self, p: ProcId, t: Nanos) -> Nanos {
+        let pi = p.as_usize();
+        let pos = self.pos[pi];
+        if !self.fuse_gaps || pos == self.end[pi] || self.gap_done[pi] {
+            return t;
+        }
+        let rec = self.ops.get(pos);
+        let gap = rec.gap_ns();
+        if rec.kind() == FlatKind::Gap || gap == 0 {
+            return t;
+        }
+        self.breakdown.busy_ns[pi] += gap;
+        self.gap_done[pi] = true;
+        t + gap
+    }
+
+    /// Queue processor `p`'s continuation due at `t`, gap folded in.
+    #[inline]
+    fn schedule(&mut self, t: Nanos, p: ProcId) {
+        let wake = self.fold_gap(p, t);
+        self.queue.push(wake, p);
+    }
+
+    /// Execute one compiled record of processor `p` popped at time `now`.
     ///
     /// Returns the time at which `p` itself resumes, or `None` if it
     /// parked (lock, barrier) or finished. Wake-ups for *other*
-    /// processors are pushed directly; `p`'s own continuation is the
+    /// processors are scheduled directly; `p`'s own continuation is the
     /// caller's to schedule, so the run loop can keep stepping `p`
     /// without queue traffic while it remains the earliest wake-up.
     ///
-    /// A record's inline compute gap fuses with its operation: the gap
-    /// advances time locally, and when `(t + gap, p)` still precedes
-    /// every pending wake-up the operation executes in the same call —
-    /// the gap never becomes a queue event. When the processor would
-    /// *not* step straight through, the gap is consumed (`gap_done`) and
-    /// the operation waits for the next pop, which is exactly the
-    /// schedule the unfused path produces; either way the sequence of
-    /// side-effecting events is identical, because a pure gap touches
-    /// nothing but this processor's clock and busy counter.
-    fn step(&mut self, p: ProcId, t: Nanos) -> Option<Nanos> {
+    /// With gap folding on, every record's inline gap was consumed when
+    /// this wake-up was scheduled, so the operation runs at once. The
+    /// gap arm below is the reference schedule only: it consumes the gap
+    /// as an event of its own (`gap_done`) and the operation waits for
+    /// the next pop.
+    fn step(&mut self, p: ProcId, now: Nanos) -> Option<Nanos> {
         let pi = p.as_usize();
         let pos = self.pos[pi];
         if pos == self.end[pi] {
-            self.finish_proc(p, t);
+            self.finish_proc(p, now);
             return None;
         }
         let rec = self.ops.get(pos);
@@ -435,21 +463,14 @@ impl Simulation {
             // A gap too long to pack inline: one pure time advance.
             self.breakdown.busy_ns[pi] += rec.payload();
             self.pos[pi] = pos + 1;
-            return Some(t + rec.payload());
+            return Some(now + rec.payload());
         }
-        let mut now = t;
         let gap = rec.gap_ns();
         if gap > 0 && !self.gap_done[pi] {
+            debug_assert!(!self.fuse_gaps, "unfolded gap in a fused run");
             self.breakdown.busy_ns[pi] += gap;
-            let resumed = now + gap;
-            if self.fuse_gaps && self.queue.precedes(resumed, p) {
-                // Fast path: the processor is still the machine-wide
-                // earliest at `resumed`, so run the operation now.
-                now = resumed;
-            } else {
-                self.gap_done[pi] = true;
-                return Some(resumed);
-            }
+            self.gap_done[pi] = true;
+            return Some(now + gap);
         }
         self.gap_done[pi] = false;
         self.pos[pi] = pos + 1;
@@ -491,7 +512,7 @@ impl Simulation {
                     self.breakdown.sync_ns[next.as_usize()] += start - parked;
                     // The new holder re-acquires the (invalidated) lock line.
                     let acquired = self.rmw(next, self.lock_addrs[id], start);
-                    self.queue.push(acquired, next);
+                    self.schedule(acquired, next);
                 }
                 Some(done)
             }
@@ -530,19 +551,22 @@ impl Simulation {
     }
 
     fn run_loop(&mut self) {
+        for p in 0..self.n_procs {
+            self.schedule(0, ProcId(p as u16));
+        }
         // Follow-through: after a step, `p`'s continuation `(next, p)`
-        // often still lexicographically precedes every pending wake-up —
-        // pushing it and popping would hand it straight back. Stepping on
-        // directly is therefore the *identical* event order with the
-        // queue round-trip elided; with the paper's 2-6 ns compute gaps
-        // between references this skips the queue for most events.
+        // (its next gap folded in) sometimes still lexicographically
+        // precedes every pending wake-up — pushing it and popping would
+        // hand it straight back. Stepping on directly is therefore the
+        // *identical* event order with the queue round-trip elided.
         while let Some((mut t, p)) = self.queue.pop() {
             while let Some(next) = self.step(p, t) {
-                if !self.queue.precedes(next, p) {
-                    self.queue.push(next, p);
+                let wake = self.fold_gap(p, next);
+                if !self.queue.precedes(wake, p) {
+                    self.queue.push(wake, p);
                     break;
                 }
-                t = next;
+                t = wake;
             }
         }
     }

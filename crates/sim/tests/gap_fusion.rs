@@ -1,8 +1,9 @@
-//! Gap-fusion differential: with the fused compute-gap fast path on
-//! (the default), every simulation must issue the *same memory accesses
-//! in the same order* and produce the same `exec_time_ns` — in fact the
-//! same whole `SimReport` — as the unfused reference schedule in which
-//! every compute gap is a separate driver event.
+//! Gap-fusion differential: with compute gaps folded into the wake-up
+//! scheduled before them (the default), every simulation must issue the
+//! *same memory accesses in the same order* and produce the same
+//! `exec_time_ns` — in fact the same whole `SimReport` — as the unfused
+//! reference schedule in which every compute gap is a separate driver
+//! event.
 //!
 //! A recording `MemorySystem` wrapper captures the exact sequence of
 //! protocol-level reads and writes (the only side-effecting events a
@@ -15,7 +16,7 @@ use std::rc::Rc;
 use coma_protocol::{CoherenceEngine, MemorySystem, Outcome};
 use coma_sim::{SimParams, Simulation};
 use coma_stats::{ProtocolCounters, SimReport, Traffic};
-use coma_types::{LineNum, MachineGeometry, MemoryPressure, ProcId};
+use coma_types::{LineNum, MachineGeometry, MemoryPressure, ProcId, Topology};
 use coma_workloads::{AppId, Scale};
 
 /// One protocol access: `(is_write, proc, line)`.
@@ -77,7 +78,7 @@ fn params(ppn: usize, mp: MemoryPressure) -> SimParams {
 /// Run `app` with fusion on or off, returning the report and the full
 /// ordered access log.
 fn run_recorded(app: AppId, params: &SimParams, fuse: bool) -> (SimReport, Vec<Access>) {
-    let wl = app.build(16, 3, Scale::SMOKE);
+    let wl = app.build(params.machine.n_procs, 3, Scale::SMOKE);
     let geom = params.machine.geometry(wl.ws_bytes).unwrap();
     let log = Rc::new(RefCell::new(Vec::new()));
     let rec = Recorder {
@@ -142,12 +143,30 @@ fn radix_zero_gap_bursts() {
 #[test]
 fn ocean_high_pressure_contention() {
     // Replacement storms plus nearest-neighbour sharing: heavy resource
-    // contention makes `precedes` fail often, exercising the unfused
-    // fallback arm inside the fused run itself.
+    // contention scatters wake-up times, so folded gaps keep changing
+    // which processor runs next.
     assert_fusion_invisible(AppId::OceanNon, &params(1, MemoryPressure::MP_87));
 }
 
 #[test]
 fn barnes_irregular_sharing() {
     assert_fusion_invisible(AppId::Barnes, &params(2, MemoryPressure::MP_50));
+}
+
+#[test]
+fn fft_64_procs_two_level_barrier_releases() {
+    // The 64-processor directory-tree shape at smoke scale: every
+    // barrier release schedules 63 parked processors at once, each with
+    // its next gap folded in at release time.
+    let mut p = params(4, MemoryPressure::MP_50);
+    p.machine.n_procs = 64;
+    p.machine.topology = Topology::two_level(4);
+    assert_fusion_invisible(AppId::Fft, &p);
+}
+
+#[test]
+fn kv_zipf_lock_hand_offs() {
+    // Shard-locked updates: each contended unlock hands the lock to a
+    // parked processor, whose next gap is folded in at hand-off.
+    assert_fusion_invisible(AppId::KvZipf, &params(2, MemoryPressure::MP_81));
 }

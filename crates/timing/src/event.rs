@@ -6,59 +6,96 @@
 //!
 //! The driver maintains at most **one** pending wake-up per processor (a
 //! processor is either running or parked at exactly one resume time), so
-//! the queue is a fixed array of per-processor wake-up times rather than a
-//! binary heap, with the current minimum cached:
+//! the queue is one slot per processor under a min-tree rather than a
+//! binary heap:
 //!
-//! * `push` is a store plus one compare against the cached minimum;
-//! * `precedes` — the driver's *follow-through* test, "would this wake-up
-//!   be popped next anyway?" — is a single compare, letting the driver
-//!   keep stepping a processor without any queue traffic while it stays
-//!   the earliest;
-//! * only a real `pop` rescans the ≤ 64 slots (one or two cache lines) to
-//!   re-establish the cached minimum.
+//! * each wake-up is one packed `u64` key, `time << 16 | proc`, so the
+//!   lexicographic `(time, proc)` order is a single integer compare, and
+//!   an idle slot holds `u64::MAX`, which loses to every real key;
+//! * the keys sit at the leaves of an implicit binary min-tree over a
+//!   power-of-two number of leaves (node `i` has children `2i` and
+//!   `2i + 1`, the root is node 1), each inner node holding the minimum
+//!   of its two children;
+//! * `push` and `pop` rewrite one leaf-to-root path with branchless
+//!   `min`s — log2 of the leaf count levels: 4 at 16 processors, 6 at
+//!   64, 10 at 1024 — and `precedes`, the driver's follow-through test
+//!   "would this wake-up be popped next anyway?", is one compare against
+//!   the root.
 //!
-//! The cached minimum is the *first* slot holding the minimal time, which
-//! is exactly the heap's `(time, proc)` lexicographic order, so replacing
-//! the heap changes nothing observable.
+//! The root is the minimal key, which is exactly the heap's `(time,
+//! proc)` lexicographic order, so the queue's choice of the next
+//! processor matches a `BinaryHeap<Reverse<(time, proc)>>` event for
+//! event.
+//!
+//! **Time bound.** Packing leaves 48 bits for the time: wake-ups must
+//! be earlier than 2^48 ns (about 78 simulated hours, some 10^6 times
+//! the longest paper-scale run). `push` and `precedes` assert it rather
+//! than silently wrap into a wrong order.
 
 use coma_types::{Nanos, ProcId};
 
-/// Slot value marking "no pending wake-up".
-const IDLE: Nanos = Nanos::MAX;
+/// Bits of a key holding the processor id (`ProcId` is a `u16`).
+const PROC_BITS: u32 = 16;
 
-/// Pending wake-up times, indexed by processor id.
-#[derive(Clone, Debug, Default)]
+/// Exclusive upper bound on wake-up times: 2^48 ns ≈ 78.2 hours.
+const TIME_LIMIT: Nanos = 1 << (64 - PROC_BITS);
+
+/// Key of an idle slot: greater than every packed wake-up.
+const IDLE: u64 = u64::MAX;
+
+/// Pack `(time, proc)` into one key whose integer order is the
+/// lexicographic `(time, proc)` order.
+#[inline]
+fn key(time: Nanos, proc: ProcId) -> u64 {
+    assert!(
+        time < TIME_LIMIT,
+        "wake-up at {time} ns is past the event queue's 2^48 ns horizon"
+    );
+    (time << PROC_BITS) | u64::from(proc.0)
+}
+
+/// Pending wake-ups, one slot per processor, under a min-tree.
+#[derive(Clone, Debug)]
 pub struct EventQueue {
-    slots: Vec<Nanos>,
+    /// Implicit tree: `tree[1]` is the root, `tree[leaves + p]` is
+    /// processor `p`'s slot, `tree[0]` is unused.
+    tree: Vec<u64>,
+    /// Leaf count, a power of two.
+    leaves: usize,
     len: usize,
-    /// `(time, proc)` of the earliest pending wake-up; `(IDLE, 0)` when
-    /// the queue is empty. Maintained on every mutation.
-    min: (Nanos, u16),
+}
+
+impl Default for EventQueue {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl EventQueue {
+    /// An empty queue; it grows to fit the highest processor id pushed.
     pub fn new() -> Self {
         EventQueue {
-            slots: Vec::new(),
+            tree: vec![IDLE; 2],
+            leaves: 1,
             len: 0,
-            min: (IDLE, 0),
         }
     }
 
-    /// Schedule `proc` to run at `time`. At most one wake-up may be
-    /// pending per processor.
+    /// Schedule `proc` to run at `time`, which must be below 2^48 ns.
+    /// At most one wake-up may be pending per processor.
     pub fn push(&mut self, time: Nanos, proc: ProcId) {
-        let p = proc.0 as usize;
-        if p >= self.slots.len() {
-            self.slots.resize(p + 1, IDLE);
+        let k = key(time, proc);
+        let p = proc.as_usize();
+        if p >= self.leaves {
+            self.grow(p + 1);
         }
-        debug_assert_ne!(time, IDLE, "IDLE sentinel used as a wake-up time");
-        debug_assert_eq!(self.slots[p], IDLE, "processor {p} already scheduled");
-        self.slots[p] = time;
+        debug_assert_eq!(
+            self.tree[self.leaves + p],
+            IDLE,
+            "processor {p} already scheduled"
+        );
         self.len += 1;
-        if (time, proc.0) < self.min {
-            self.min = (time, proc.0);
-        }
+        self.set_leaf(p, k);
     }
 
     /// Would a wake-up `(time, proc)` run before everything pending?
@@ -67,41 +104,51 @@ impl EventQueue {
     /// popping would return it straight back.
     #[inline]
     pub fn precedes(&self, time: Nanos, proc: ProcId) -> bool {
-        (time, proc.0) < self.min
+        key(time, proc) < self.tree[1]
     }
 
     /// Remove and return the earliest wake-up (ties: lowest processor id).
     pub fn pop(&mut self) -> Option<(Nanos, ProcId)> {
-        if self.len == 0 {
+        let k = self.tree[1];
+        if k == IDLE {
             return None;
         }
-        let (t, p) = self.min;
-        debug_assert_eq!(self.slots[p as usize], t, "cached minimum is stale");
-        self.slots[p as usize] = IDLE;
+        let p = (k & ((1 << PROC_BITS) - 1)) as u16;
         self.len -= 1;
-        self.rescan();
-        Some((t, ProcId(p)))
+        self.set_leaf(p as usize, IDLE);
+        Some((k >> PROC_BITS, ProcId(p)))
     }
 
-    /// Re-establish the cached minimum: two branchless passes — a
-    /// min-reduction, then a first-index search for that minimum — which
-    /// vectorize cleanly, unlike a fused index-tracking scan whose
-    /// data-dependent branch mispredicts on irregular wake-up times. IDLE
-    /// slots hold `u64::MAX`, so they win only when nothing is pending,
-    /// which leaves the cache at its empty value.
-    fn rescan(&mut self) {
-        let t = self.slots.iter().copied().min().unwrap_or(IDLE);
-        if t == IDLE {
-            self.min = (IDLE, 0);
-        } else {
-            let p = self.slots.iter().position(|&s| s == t).expect("min exists");
-            self.min = (t, p as u16);
+    /// Store `k` in processor `p`'s leaf and refresh every ancestor:
+    /// one branchless `min` per level.
+    #[inline]
+    fn set_leaf(&mut self, p: usize, k: u64) {
+        let mut i = self.leaves + p;
+        self.tree[i] = k;
+        while i > 1 {
+            let m = self.tree[i].min(self.tree[i ^ 1]);
+            i >>= 1;
+            self.tree[i] = m;
         }
+    }
+
+    /// Widen the tree to at least `procs` leaves, keeping every pending
+    /// wake-up.
+    fn grow(&mut self, procs: usize) {
+        let leaves = procs.next_power_of_two();
+        let mut tree = vec![IDLE; 2 * leaves];
+        tree[leaves..leaves + self.leaves].copy_from_slice(&self.tree[self.leaves..]);
+        for i in (1..leaves).rev() {
+            tree[i] = tree[2 * i].min(tree[2 * i + 1]);
+        }
+        self.tree = tree;
+        self.leaves = leaves;
     }
 
     /// Time of the earliest wake-up without removing it.
     pub fn peek_time(&self) -> Option<Nanos> {
-        (self.len > 0).then_some(self.min.0)
+        let k = self.tree[1];
+        (k != IDLE).then_some(k >> PROC_BITS)
     }
 
     pub fn len(&self) -> usize {
@@ -221,39 +268,34 @@ mod tests {
     /// `BinaryHeap<Reverse<(time, proc)>>` run in lockstep through a
     /// seeded random push/pop/probe schedule, with small times so
     /// equal-timestamp ties are frequent.
-    #[test]
-    fn differential_vs_binary_heap_reference() {
+    fn lockstep_vs_binary_heap(procs: usize, seed: u64) {
         use coma_types::Rng64;
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
-        const PROCS: usize = 16;
-        let mut rng = Rng64::new(0x0E7E);
+        let mut rng = Rng64::new(seed);
         let mut q = EventQueue::new();
         let mut heap: BinaryHeap<Reverse<(Nanos, u16)>> = BinaryHeap::new();
-        let mut pending = [false; PROCS];
+        let mut idle: Vec<u16> = (0..procs as u16).collect();
 
         for _ in 0..20_000 {
-            let idle: Vec<u16> = (0..PROCS as u16)
-                .filter(|&p| !pending[p as usize])
-                .collect();
             let do_push = !idle.is_empty() && (heap.is_empty() || rng.below(100) < 55);
             if do_push {
-                let p = *rng.pick(&idle);
+                let p = idle.swap_remove(rng.below(idle.len() as u64) as usize);
                 let t = rng.below(32); // tiny time range → constant ties
                 q.push(t, ProcId(p));
                 heap.push(Reverse((t, p)));
-                pending[p as usize] = true;
             } else {
                 let expect = heap.pop().map(|Reverse((t, p))| (t, ProcId(p)));
                 assert_eq!(q.pop(), expect);
                 if let Some((_, p)) = expect {
-                    pending[p.0 as usize] = false;
+                    idle.push(p.0);
                 }
             }
+            assert_eq!(q.len(), heap.len());
             // The follow-through probe must agree with the heap's view:
             // "precedes" iff pushing then popping would return it back.
-            let probe = (rng.below(32), ProcId(rng.below(PROCS as u64) as u16));
+            let probe = (rng.below(32), ProcId(rng.below(procs as u64) as u16));
             let heap_says = heap
                 .peek()
                 .is_none_or(|&Reverse(min)| (probe.0, probe.1 .0) < min);
@@ -264,6 +306,54 @@ mod tests {
             assert_eq!(q.pop(), Some((t, ProcId(p))));
         }
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn differential_vs_binary_heap_reference() {
+        lockstep_vs_binary_heap(16, 0x0E7E);
+    }
+
+    #[test]
+    fn differential_vs_binary_heap_at_64_procs() {
+        // The 64-processor directory-tree machine: 6 tree levels.
+        lockstep_vs_binary_heap(64, 0x0E7F);
+    }
+
+    #[test]
+    fn differential_vs_binary_heap_at_non_power_of_two_procs() {
+        // 200 processors leave 56 of the 256 leaves permanently idle.
+        lockstep_vs_binary_heap(200, 0x0E80);
+    }
+
+    #[test]
+    fn differential_vs_binary_heap_at_1024_procs() {
+        // 256 nodes × 4 processors per node.
+        lockstep_vs_binary_heap(1024, 0x0E81);
+    }
+
+    #[test]
+    fn wake_up_just_under_the_horizon_round_trips() {
+        let last = TIME_LIMIT - 1;
+        let mut q = EventQueue::new();
+        q.push(last, ProcId(9));
+        q.push(last, ProcId(3));
+        q.push(last - 1, ProcId(40));
+        assert!(q.precedes(last - 2, ProcId(99)));
+        assert!(!q.precedes(last, ProcId(0)));
+        assert_eq!(q.pop(), Some((last - 1, ProcId(40))));
+        assert_eq!(q.peek_time(), Some(last));
+        // Same time: the smaller processor id runs first.
+        assert!(q.precedes(last, ProcId(2)));
+        assert!(!q.precedes(last, ProcId(4)));
+        assert_eq!(q.pop(), Some((last, ProcId(3))));
+        assert_eq!(q.pop(), Some((last, ProcId(9))));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "2^48 ns horizon")]
+    fn wake_up_at_the_horizon_is_rejected() {
+        EventQueue::new().push(TIME_LIMIT, ProcId(0));
     }
 
     #[test]

@@ -83,11 +83,18 @@ fn write_buffer_bounds() {
 /// processor, arbitrary push/pop interleavings): pops agree exactly with
 /// a sorted reference model — earliest time first, ties broken by lowest
 /// processor id — and pop order is time-monotone within a parked epoch.
+/// Machine sizes cover random small counts plus 64 processors, a
+/// non-power-of-two 200, and 1024 (256 nodes × 4 ppn).
 #[test]
 fn event_queue_matches_sorted_reference_model() {
     let mut rng = Rng64::new(0xE0E0);
-    for _case in 0..128 {
-        let n_procs = rng.range(1, 64) as u16;
+    for case in 0..128 {
+        let n_procs = match case % 4 {
+            0 => rng.range(1, 64),
+            1 => 64,
+            2 => 200,
+            _ => 1024,
+        } as u16;
         let n_steps = rng.range(1, 400);
         let mut q = EventQueue::new();
         // Reference model: the pending (time, proc) pairs, no structure.
