@@ -42,23 +42,16 @@ fn main() {
         let mut rng = Rng64::new(3);
         for _ in 0..20_000 {
             let l = LineNum(rng.below(4096));
-            if am.touch(l).is_valid() {
+            let set = am.set_of(l);
+            if am.touch(set, l).is_valid() {
                 continue;
             }
-            match am.make_room(l) {
-                coma_cache::Victim::FreeSlot => {}
-                coma_cache::Victim::DropShared(v) | coma_cache::Victim::Inject(v, _) => {
-                    am.remove(v);
-                }
-            }
-            am.insert(
-                l,
-                if rng.chance(0.5) {
-                    coma_cache::AmState::Shared
-                } else {
-                    coma_cache::AmState::Exclusive
-                },
-            );
+            let state = if rng.chance(0.5) {
+                coma_cache::AmState::Shared
+            } else {
+                coma_cache::AmState::Exclusive
+            };
+            black_box(am.fill(set, l, state));
         }
         black_box(am.len());
     });

@@ -4,7 +4,7 @@
 //! Unlike a conventional cache, an AM cannot silently drop everything:
 //! `Owner`/`Exclusive` lines are the *responsible* copies and must be
 //! relocated ("injected") into another node on replacement, because there
-//! is no backing main memory. [`AttractionMemory::make_room`] implements
+//! is no backing main memory. [`AttractionMemory::fill`] implements
 //! the paper's victim priority (Shared replicas first), and
 //! [`AttractionMemory::accept_slot`] implements the receiving side of the
 //! accept-based replacement strategy (Invalid slots before Shared slots,
@@ -50,61 +50,88 @@ impl AttractionMemory {
         }
     }
 
+    /// The set `line` maps to. Every node's AM has the same geometry, so
+    /// the coherence engine computes this once per access and passes it
+    /// to every probe of that access, on any node; a victim displaced
+    /// from the set, or a replica sacrificed to accept it elsewhere, lives
+    /// in the same set.
+    #[inline]
+    pub fn set_of(&self, line: LineNum) -> usize {
+        self.array.set_of(line)
+    }
+
     /// Current state of a line (Invalid if absent). Does not touch LRU.
     pub fn state(&self, line: LineNum) -> AmState {
         self.array.peek(line).unwrap_or(AmState::Invalid)
     }
 
-    /// State of a line, marking it most-recently-used.
-    pub fn touch(&mut self, line: LineNum) -> AmState {
-        self.array.lookup(line).unwrap_or(AmState::Invalid)
+    /// State of a line in `set`, marking it most-recently-used.
+    #[inline]
+    pub fn touch(&mut self, set: usize, line: LineNum) -> AmState {
+        self.array.lookup_in(set, line).unwrap_or(AmState::Invalid)
     }
 
-    /// Transition a resident line to a new valid state; no-op if absent.
-    pub fn set_state(&mut self, line: LineNum, state: AmState) {
+    /// Transition a resident line to a new state (Invalid removes it);
+    /// no-op if absent.
+    pub fn set_state(&mut self, set: usize, line: LineNum, state: AmState) {
         if state.is_valid() {
-            self.array.set_state(line, state);
+            self.array.set_state_in(set, line, state);
         } else {
-            self.array.remove(line);
+            self.array.remove_in(set, line);
+        }
+    }
+
+    /// A replica of `line` is about to appear elsewhere: a resident
+    /// Exclusive copy becomes Owner (one probe); any other state stays.
+    pub fn demote_exclusive(&mut self, set: usize, line: LineNum) {
+        if let Some(st) = self.array.state_mut_in(set, line) {
+            if *st == AmState::Exclusive {
+                *st = AmState::Owner;
+            }
         }
     }
 
     /// Remove a line (invalidation); returns its previous state.
-    pub fn remove(&mut self, line: LineNum) -> AmState {
-        self.array.remove(line).unwrap_or(AmState::Invalid)
+    pub fn remove(&mut self, set: usize, line: LineNum) -> AmState {
+        self.array.remove_in(set, line).unwrap_or(AmState::Invalid)
     }
 
-    /// Decide what must be displaced so that `line` can be inserted into
-    /// its set. Does **not** perform the insertion or the displacement.
-    /// One scan of the set — which visits in recency order, so the *last*
-    /// visit of a kind is its LRU — collects the overall and Shared-only
-    /// LRU entries that both victim policies choose between.
-    pub fn make_room(&self, line: LineNum) -> Victim {
-        if self.array.has_free_slot(line) {
+    /// Does `set` have a free slot?
+    pub fn has_free_slot(&self, set: usize) -> bool {
+        self.array.has_free_slot_in(set)
+    }
+
+    /// Insert `line` (known absent) into `set` as most-recently-used,
+    /// displacing a victim first if the set is full, and report what was
+    /// displaced. One scan of the set — which visits in recency order, so
+    /// the *last* visit of a kind is its LRU — picks the victim both
+    /// policies choose between, and one shift writes the new line over it.
+    /// The caller owns the victim's fallout (private copies, directory,
+    /// injection).
+    pub fn fill(&mut self, set: usize, line: LineNum, state: AmState) -> Victim {
+        debug_assert!(state.is_valid());
+        if self.array.has_free_slot_in(set) {
+            self.array.put_front(set, None, line, state);
             return Victim::FreeSlot;
         }
-        let mut lru_any: Option<(LineNum, AmState)> = None;
-        let mut lru_shared: Option<LineNum> = None;
-        self.array.scan_set(line, |l, s| {
-            lru_any = Some((l, s));
+        let mut lru_any: Option<(usize, LineNum, AmState)> = None;
+        let mut lru_shared: Option<(usize, LineNum)> = None;
+        for (way, (l, s)) in self.array.entries_in(set).enumerate() {
+            lru_any = Some((way, l, s));
             if s == AmState::Shared {
-                lru_shared = Some(l);
-            }
-        });
-        let (lru_line, lru_state) = lru_any.expect("full set is non-empty");
-        match self.victim_policy {
-            VictimPolicy::SharedFirst => match lru_shared {
-                Some(l) => Victim::DropShared(l),
-                None => Victim::Inject(lru_line, lru_state),
-            },
-            VictimPolicy::StrictLru => {
-                if lru_state == AmState::Shared {
-                    Victim::DropShared(lru_line)
-                } else {
-                    Victim::Inject(lru_line, lru_state)
-                }
+                lru_shared = Some((way, l));
             }
         }
+        let (lru_way, lru_line, lru_state) = lru_any.expect("full set is non-empty");
+        let (way, victim) = match (self.victim_policy, lru_shared) {
+            (VictimPolicy::SharedFirst, Some((w, l))) => (w, Victim::DropShared(l)),
+            (VictimPolicy::StrictLru, _) if lru_state == AmState::Shared => {
+                (lru_way, Victim::DropShared(lru_line))
+            }
+            _ => (lru_way, Victim::Inject(lru_line, lru_state)),
+        };
+        self.array.put_front(set, Some(way), line, state);
+        victim
     }
 
     /// Would this node accept an injection of `line` under `policy`, and
@@ -113,27 +140,32 @@ impl AttractionMemory {
     /// mechanism avoids avalanching replacements).
     ///
     /// A node that already holds the line cannot be its receiver.
-    pub fn accept_slot(&self, line: LineNum, policy: AcceptPolicy) -> Option<AcceptSlot> {
+    pub fn accept_slot(
+        &self,
+        set: usize,
+        line: LineNum,
+        policy: AcceptPolicy,
+    ) -> Option<AcceptSlot> {
         // One scan answers all three questions: already resident?, set
         // occupancy, and the LRU Shared replica (the last Shared visited,
         // since the scan runs most-recent first) if any.
         let mut resident = false;
         let mut occupied = 0usize;
         let mut lru_shared: Option<LineNum> = None;
-        self.array.scan_set(line, |l, s| {
+        for (l, s) in self.array.entries_in(set) {
             resident |= l == line;
             occupied += 1;
             if s == AmState::Shared {
                 lru_shared = Some(l);
             }
-        });
+        }
         if resident {
             return None;
         }
         let free = occupied < self.array.assoc();
         let shared = lru_shared.map(AcceptSlot::Shared);
         match policy {
-            AcceptPolicy::InvalidThenShared => {
+            AcceptPolicy::InvalidThenShared | AcceptPolicy::FirstFit => {
                 if free {
                     Some(AcceptSlot::Invalid)
                 } else {
@@ -145,20 +177,24 @@ impl AttractionMemory {
             } else {
                 None
             }),
-            AcceptPolicy::FirstFit => {
-                if free {
-                    Some(AcceptSlot::Invalid)
-                } else {
-                    shared
-                }
-            }
         }
     }
 
-    /// Insert a line known to be absent, into a set known to have room.
-    pub fn insert(&mut self, line: LineNum, state: AmState) {
+    /// Take an injected `line` into `set` through the slot
+    /// [`Self::accept_slot`] offered, overwriting the sacrificed Shared
+    /// replica (if any) in the same pass.
+    pub fn accept(&mut self, set: usize, line: LineNum, state: AmState, slot: AcceptSlot) {
         debug_assert!(state.is_valid());
-        self.array.insert(line, state);
+        let way = match slot {
+            AcceptSlot::Invalid => None,
+            AcceptSlot::Shared(v) => Some(
+                self.array
+                    .entries_in(set)
+                    .position(|(l, _)| l == v)
+                    .expect("sacrificed replica is resident"),
+            ),
+        };
+        self.array.put_front(set, way, line, state);
     }
 
     /// Resident line count.
@@ -213,29 +249,43 @@ mod tests {
         AttractionMemory::new(n_sets, assoc, VictimPolicy::SharedFirst)
     }
 
+    /// Fill `line` into its own set (the test lines never collide with a
+    /// full set unless the test says so).
+    fn fill(a: &mut AttractionMemory, line: u64, st: AmState) -> Victim {
+        let set = a.set_of(LineNum(line));
+        a.fill(set, LineNum(line), st)
+    }
+
+    fn accept_slot(a: &AttractionMemory, line: u64, p: AcceptPolicy) -> Option<AcceptSlot> {
+        a.accept_slot(a.set_of(LineNum(line)), LineNum(line), p)
+    }
+
     #[test]
     fn empty_set_has_free_slot() {
-        let a = am(4, 2);
-        assert_eq!(a.make_room(LineNum(0)), Victim::FreeSlot);
+        let mut a = am(4, 2);
+        assert_eq!(fill(&mut a, 0, AmState::Shared), Victim::FreeSlot);
     }
 
     #[test]
     fn shared_victim_preferred_over_owner() {
         let mut a = am(1, 2);
-        a.insert(LineNum(0), AmState::Owner);
-        a.insert(LineNum(1), AmState::Shared);
+        fill(&mut a, 0, AmState::Owner);
+        fill(&mut a, 1, AmState::Shared);
         // Owner is older (LRU) but Shared is the victim under SharedFirst.
-        assert_eq!(a.make_room(LineNum(2)), Victim::DropShared(LineNum(1)));
+        assert_eq!(
+            fill(&mut a, 2, AmState::Shared),
+            Victim::DropShared(LineNum(1))
+        );
     }
 
     #[test]
     fn all_responsible_forces_injection() {
         let mut a = am(1, 2);
-        a.insert(LineNum(0), AmState::Exclusive);
-        a.insert(LineNum(1), AmState::Owner);
+        fill(&mut a, 0, AmState::Exclusive);
+        fill(&mut a, 1, AmState::Owner);
         // LRU is line 0 (inserted first, never touched).
         assert_eq!(
-            a.make_room(LineNum(2)),
+            fill(&mut a, 2, AmState::Shared),
             Victim::Inject(LineNum(0), AmState::Exclusive)
         );
     }
@@ -243,10 +293,10 @@ mod tests {
     #[test]
     fn strict_lru_injects_even_with_shared_present() {
         let mut a = AttractionMemory::new(1, 2, VictimPolicy::StrictLru);
-        a.insert(LineNum(0), AmState::Owner);
-        a.insert(LineNum(1), AmState::Shared);
+        fill(&mut a, 0, AmState::Owner);
+        fill(&mut a, 1, AmState::Shared);
         assert_eq!(
-            a.make_room(LineNum(2)),
+            fill(&mut a, 2, AmState::Shared),
             Victim::Inject(LineNum(0), AmState::Owner)
         );
     }
@@ -254,9 +304,9 @@ mod tests {
     #[test]
     fn accept_prefers_invalid_slot() {
         let mut a = am(1, 2);
-        a.insert(LineNum(1), AmState::Shared);
+        fill(&mut a, 1, AmState::Shared);
         assert_eq!(
-            a.accept_slot(LineNum(2), AcceptPolicy::InvalidThenShared),
+            accept_slot(&a, 2, AcceptPolicy::InvalidThenShared),
             Some(AcceptSlot::Invalid)
         );
     }
@@ -264,10 +314,10 @@ mod tests {
     #[test]
     fn accept_overwrites_shared_when_full() {
         let mut a = am(1, 2);
-        a.insert(LineNum(1), AmState::Shared);
-        a.insert(LineNum(3), AmState::Owner);
+        fill(&mut a, 1, AmState::Shared);
+        fill(&mut a, 3, AmState::Owner);
         assert_eq!(
-            a.accept_slot(LineNum(2), AcceptPolicy::InvalidThenShared),
+            accept_slot(&a, 2, AcceptPolicy::InvalidThenShared),
             Some(AcceptSlot::Shared(LineNum(1)))
         );
     }
@@ -275,30 +325,24 @@ mod tests {
     #[test]
     fn accept_refuses_all_responsible_set() {
         let mut a = am(1, 2);
-        a.insert(LineNum(1), AmState::Owner);
-        a.insert(LineNum(3), AmState::Exclusive);
-        assert_eq!(
-            a.accept_slot(LineNum(2), AcceptPolicy::InvalidThenShared),
-            None
-        );
+        fill(&mut a, 1, AmState::Owner);
+        fill(&mut a, 3, AmState::Exclusive);
+        assert_eq!(accept_slot(&a, 2, AcceptPolicy::InvalidThenShared), None);
     }
 
     #[test]
     fn holder_cannot_accept_its_own_line() {
         let mut a = am(1, 4);
-        a.insert(LineNum(2), AmState::Shared);
-        assert_eq!(
-            a.accept_slot(LineNum(2), AcceptPolicy::InvalidThenShared),
-            None
-        );
+        fill(&mut a, 2, AmState::Shared);
+        assert_eq!(accept_slot(&a, 2, AcceptPolicy::InvalidThenShared), None);
     }
 
     #[test]
     fn shared_then_invalid_sacrifices_replica_first() {
         let mut a = am(1, 2);
-        a.insert(LineNum(1), AmState::Shared);
+        fill(&mut a, 1, AmState::Shared);
         assert_eq!(
-            a.accept_slot(LineNum(2), AcceptPolicy::SharedThenInvalid),
+            accept_slot(&a, 2, AcceptPolicy::SharedThenInvalid),
             Some(AcceptSlot::Shared(LineNum(1)))
         );
     }
@@ -306,18 +350,18 @@ mod tests {
     #[test]
     fn census_counts_states() {
         let mut a = am(4, 2);
-        a.insert(LineNum(0), AmState::Shared);
-        a.insert(LineNum(1), AmState::Owner);
-        a.insert(LineNum(2), AmState::Exclusive);
-        a.insert(LineNum(3), AmState::Exclusive);
+        fill(&mut a, 0, AmState::Shared);
+        fill(&mut a, 1, AmState::Owner);
+        fill(&mut a, 2, AmState::Exclusive);
+        fill(&mut a, 3, AmState::Exclusive);
         assert_eq!(a.census(), (1, 1, 2));
     }
 
     #[test]
     fn set_state_invalid_removes() {
         let mut a = am(4, 2);
-        a.insert(LineNum(0), AmState::Shared);
-        a.set_state(LineNum(0), AmState::Invalid);
+        fill(&mut a, 0, AmState::Shared);
+        a.set_state(0, LineNum(0), AmState::Invalid);
         assert_eq!(a.state(LineNum(0)), AmState::Invalid);
         assert_eq!(a.len(), 0);
     }
@@ -325,9 +369,57 @@ mod tests {
     #[test]
     fn touch_changes_lru_victim() {
         let mut a = am(1, 2);
-        a.insert(LineNum(0), AmState::Shared);
-        a.insert(LineNum(1), AmState::Shared);
-        a.touch(LineNum(0)); // now line 1 is LRU
-        assert_eq!(a.make_room(LineNum(2)), Victim::DropShared(LineNum(1)));
+        fill(&mut a, 0, AmState::Shared);
+        fill(&mut a, 1, AmState::Shared);
+        a.touch(0, LineNum(0)); // now line 1 is LRU
+        assert_eq!(
+            fill(&mut a, 2, AmState::Shared),
+            Victim::DropShared(LineNum(1))
+        );
+    }
+
+    #[test]
+    fn fill_replaces_victim_and_keeps_survivor_recency() {
+        let mut a = am(1, 3);
+        fill(&mut a, 0, AmState::Owner);
+        fill(&mut a, 1, AmState::Shared);
+        fill(&mut a, 2, AmState::Exclusive);
+        // Recency 2 > 1 > 0: the Shared line 1 goes, line 0 stays LRU.
+        assert_eq!(
+            fill(&mut a, 3, AmState::Owner),
+            Victim::DropShared(LineNum(1))
+        );
+        assert_eq!(a.state(LineNum(1)), AmState::Invalid);
+        assert_eq!(a.state(LineNum(3)), AmState::Owner);
+        assert_eq!(a.len(), 3);
+        assert_eq!(
+            fill(&mut a, 4, AmState::Owner),
+            Victim::Inject(LineNum(0), AmState::Owner)
+        );
+    }
+
+    #[test]
+    fn accept_overwrites_the_offered_replica() {
+        let mut a = am(1, 2);
+        fill(&mut a, 1, AmState::Shared);
+        fill(&mut a, 3, AmState::Owner);
+        let slot = accept_slot(&a, 2, AcceptPolicy::InvalidThenShared).unwrap();
+        a.accept(0, LineNum(2), AmState::Exclusive, slot);
+        assert_eq!(a.state(LineNum(1)), AmState::Invalid);
+        assert_eq!(a.state(LineNum(2)), AmState::Exclusive);
+        assert_eq!(a.len(), 2);
+    }
+
+    #[test]
+    fn demote_exclusive_only_touches_exclusive() {
+        let mut a = am(4, 2);
+        fill(&mut a, 0, AmState::Exclusive);
+        fill(&mut a, 1, AmState::Shared);
+        a.demote_exclusive(0, LineNum(0));
+        a.demote_exclusive(1, LineNum(1));
+        a.demote_exclusive(2, LineNum(2));
+        assert_eq!(a.state(LineNum(0)), AmState::Owner);
+        assert_eq!(a.state(LineNum(1)), AmState::Shared);
+        assert_eq!(a.state(LineNum(2)), AmState::Invalid);
     }
 }

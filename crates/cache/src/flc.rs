@@ -33,35 +33,55 @@ impl Flc {
         }
     }
 
+    /// The slot `line` maps to. All FLCs share one geometry, so a caller
+    /// probing the same line in several FLCs computes this once and uses
+    /// the `*_at` forms below.
     #[inline]
-    fn idx(&self, line: LineNum) -> usize {
+    pub fn slot_of(&self, line: LineNum) -> usize {
         self.idx_mod.reduce(line.0) as usize
     }
 
     /// Is the line resident (readable)?
     #[inline]
     pub fn read_hit(&self, line: LineNum) -> bool {
-        matches!(self.slots[self.idx(line)], Some(s) if s.line == line)
+        self.read_hit_at(self.slot_of(line), line)
+    }
+
+    /// [`Self::read_hit`] with the line's slot precomputed.
+    #[inline]
+    pub fn read_hit_at(&self, slot: usize, line: LineNum) -> bool {
+        matches!(self.slots[slot], Some(s) if s.line == line)
     }
 
     /// Is the line resident with write permission?
     #[inline]
     pub fn write_hit(&self, line: LineNum) -> bool {
-        matches!(self.slots[self.idx(line)], Some(s) if s.line == line && s.writable)
+        self.write_hit_at(self.slot_of(line), line)
+    }
+
+    /// [`Self::write_hit`] with the line's slot precomputed.
+    #[inline]
+    pub fn write_hit_at(&self, slot: usize, line: LineNum) -> bool {
+        matches!(self.slots[slot], Some(s) if s.line == line && s.writable)
     }
 
     /// Fill a line after an SLC (or deeper) access; displaces whatever was
     /// in the slot (FLC is a subset of the SLC, so silent displacement is
     /// safe — the SLC still holds the displaced line).
     pub fn fill(&mut self, line: LineNum, writable: bool) {
-        let i = self.idx(line);
-        self.slots[i] = Some(Slot { line, writable });
+        self.fill_at(self.slot_of(line), line, writable);
+    }
+
+    /// [`Self::fill`] with the line's slot precomputed.
+    #[inline]
+    pub fn fill_at(&mut self, slot: usize, line: LineNum, writable: bool) {
+        self.slots[slot] = Some(Slot { line, writable });
     }
 
     /// Grant write permission to an already-resident line (after the SLC
     /// obtained ownership).
     pub fn grant_write(&mut self, line: LineNum) {
-        let i = self.idx(line);
+        let i = self.slot_of(line);
         if let Some(s) = &mut self.slots[i] {
             if s.line == line {
                 s.writable = true;
@@ -71,16 +91,26 @@ impl Flc {
 
     /// Invalidate a line (inclusion: the SLC lost it, or coherence).
     pub fn invalidate(&mut self, line: LineNum) {
-        let i = self.idx(line);
-        if matches!(self.slots[i], Some(s) if s.line == line) {
-            self.slots[i] = None;
+        self.invalidate_at(self.slot_of(line), line);
+    }
+
+    /// [`Self::invalidate`] with the line's slot precomputed.
+    #[inline]
+    pub fn invalidate_at(&mut self, slot: usize, line: LineNum) {
+        if matches!(self.slots[slot], Some(s) if s.line == line) {
+            self.slots[slot] = None;
         }
     }
 
     /// Downgrade write permission (coherence: another processor reads).
     pub fn downgrade(&mut self, line: LineNum) {
-        let i = self.idx(line);
-        if let Some(s) = &mut self.slots[i] {
+        self.downgrade_at(self.slot_of(line), line);
+    }
+
+    /// [`Self::downgrade`] with the line's slot precomputed.
+    #[inline]
+    pub fn downgrade_at(&mut self, slot: usize, line: LineNum) {
+        if let Some(s) = &mut self.slots[slot] {
             if s.line == line {
                 s.writable = false;
             }

@@ -27,15 +27,11 @@
 //! Set indexing uses a precomputed [`FastMod`] because set counts are not
 //! powers of two (the paper's "odd cache sizes").
 
-use coma_types::{FastMod, LineNum};
+use coma_types::{FastMod, LineNum, MAX_LINE};
 
-/// Stored key for an empty slot; occupied slots hold `line + 1`.
+/// Stored key for an empty slot; occupied slots hold `line + 1`, so the
+/// largest storable line is [`MAX_LINE`] (`u32::MAX - 1`).
 const EMPTY: u32 = 0;
-
-/// Largest representable line number (`u32::MAX - 1`, since keys store
-/// `line + 1`). Simulated working sets top out orders of magnitude below
-/// this — [`SetAssoc::insert`] enforces it.
-const MAX_LINE: u64 = (u32::MAX - 1) as u64;
 
 /// One packed cache slot: the resident line's key and its protocol state.
 #[derive(Clone, Copy, Debug)]
@@ -121,23 +117,27 @@ impl<S: Copy + Default> SetAssoc<S> {
         self.len == 0
     }
 
-    /// Set index for a line.
+    /// Set index for a line. Callers that probe the same line several
+    /// times — or probe it in several arrays of one geometry — compute
+    /// this once and pass it to the `*_in` methods, which skip the
+    /// reduction.
     #[inline]
-    pub fn set_of(&self, line: LineNum) -> u64 {
-        self.set_mod.reduce(line.0)
+    pub fn set_of(&self, line: LineNum) -> usize {
+        self.set_mod.reduce(line.0) as usize
     }
 
-    /// Stride base of the set that `line` maps to.
+    /// Stride base of set `set`.
     #[inline]
-    fn base_of(&self, line: LineNum) -> usize {
-        self.set_of(line) as usize * self.assoc
+    fn base(&self, set: usize) -> usize {
+        debug_assert!((set as u64) < self.n_sets);
+        set * self.assoc
     }
 
-    /// Slot index of `line` if resident.
+    /// Slot index of `line` if resident in `set`.
     #[inline]
-    fn find(&self, line: LineNum) -> Option<usize> {
+    fn find_in(&self, set: usize, line: LineNum) -> Option<usize> {
         let key = probe_key(line);
-        let base = self.base_of(line);
+        let base = self.base(set);
         for i in base..base + self.assoc {
             let k = self.slots[i].key;
             if k == key {
@@ -153,24 +153,31 @@ impl<S: Copy + Default> SetAssoc<S> {
     /// State of a line without touching LRU state.
     #[inline]
     pub fn peek(&self, line: LineNum) -> Option<S> {
-        self.find(line).map(|i| self.slots[i].state)
+        self.peek_in(self.set_of(line), line)
     }
 
-    /// State of a line, marking it most-recently-used on hit.
+    /// [`Self::peek`] with the line's set precomputed.
     #[inline]
-    pub fn lookup(&mut self, line: LineNum) -> Option<S> {
-        let i = self.find(line)?;
+    pub fn peek_in(&self, set: usize, line: LineNum) -> Option<S> {
+        self.find_in(set, line).map(|i| self.slots[i].state)
+    }
+
+    /// State of a line in `set`, marking it most-recently-used on hit.
+    #[inline]
+    pub fn lookup_in(&mut self, set: usize, line: LineNum) -> Option<S> {
+        let i = self.find_in(set, line)?;
         let hit = self.slots[i];
-        let base = self.base_of(line);
+        let base = self.base(set);
         self.slots.copy_within(base..i, base + 1);
         self.slots[base] = hit;
         Some(hit.state)
     }
 
-    /// Update the state of a resident line; returns false if not present.
-    /// Does not touch LRU order.
-    pub fn set_state(&mut self, line: LineNum, state: S) -> bool {
-        match self.find(line) {
+    /// Update the state of a resident line in `set`; returns false if not
+    /// present. Does not touch LRU order.
+    #[inline]
+    pub fn set_state_in(&mut self, set: usize, line: LineNum, state: S) -> bool {
+        match self.find_in(set, line) {
             Some(i) => {
                 self.slots[i].state = state;
                 true
@@ -179,41 +186,67 @@ impl<S: Copy + Default> SetAssoc<S> {
         }
     }
 
-    /// Remove a line; returns its state if it was present. The stride is
-    /// shifted up (not swap-removed) so the survivors keep their recency
-    /// order.
-    pub fn remove(&mut self, line: LineNum) -> Option<S> {
-        let i = self.find(line)?;
+    /// Mutable state of a resident line (no LRU touch): a read-modify-write
+    /// of the state costs one probe.
+    #[inline]
+    pub fn state_mut_in(&mut self, set: usize, line: LineNum) -> Option<&mut S> {
+        let i = self.find_in(set, line)?;
+        Some(&mut self.slots[i].state)
+    }
+
+    /// Remove a line from `set`; returns its state if it was present. The
+    /// stride is shifted up (not swap-removed) so the survivors keep their
+    /// recency order.
+    pub fn remove_in(&mut self, set: usize, line: LineNum) -> Option<S> {
+        let i = self.find_in(set, line)?;
         let state = self.slots[i].state;
-        let base = self.base_of(line);
-        let last = base + self.assoc - 1;
+        let last = self.base(set) + self.assoc - 1;
         self.slots.copy_within(i + 1..last + 1, i);
         self.slots[last].key = EMPTY;
         self.len -= 1;
         Some(state)
     }
 
-    /// Does the line's set have a free slot?
+    /// Does set `set` have a free slot?
     #[inline]
-    pub fn has_free_slot(&self, line: LineNum) -> bool {
-        let base = self.base_of(line);
-        self.slots[base + self.assoc - 1].key == EMPTY
+    pub fn has_free_slot_in(&self, set: usize) -> bool {
+        self.slots[self.base(set) + self.assoc - 1].key == EMPTY
     }
 
     /// Insert a line known to be absent. Panics (debug) if the set is full
     /// or the line already resident — callers must evict first.
     pub fn insert(&mut self, line: LineNum, state: S) {
+        let set = self.set_of(line);
+        debug_assert!(self.find_in(set, line).is_none(), "duplicate insert");
+        self.put_front(set, None, line, state);
+    }
+
+    /// Write `line` (known absent) as the most-recently-used entry of
+    /// `set`, in one pass. With `evict = Some(way)` the entry at that way
+    /// of the stride (0 = MRU) is overwritten: the entries in front of it
+    /// shift down one, the ones behind it stay — exactly what removing it
+    /// and then inserting `line` would leave. With `None` the set must
+    /// have a free slot and every entry shifts down one.
+    pub fn put_front(&mut self, set: usize, evict: Option<usize>, line: LineNum, state: S) {
         assert!(line.0 <= MAX_LINE, "line number exceeds u32 key range");
-        debug_assert!(self.find(line).is_none(), "duplicate insert");
-        let base = self.base_of(line);
-        let last = base + self.assoc - 1;
-        debug_assert_eq!(self.slots[last].key, EMPTY, "insert into full set");
-        self.slots.copy_within(base..last, base + 1);
+        let base = self.base(set);
+        let end = match evict {
+            Some(way) => {
+                debug_assert!(way < self.assoc && self.slots[base + way].key != EMPTY);
+                base + way
+            }
+            None => {
+                let last = base + self.assoc - 1;
+                debug_assert_eq!(self.slots[last].key, EMPTY, "insert into full set");
+                self.len += 1;
+                last
+            }
+        };
+        self.slots.copy_within(base..end, base + 1);
         self.slots[base] = Slot {
             key: line.0 as u32 + 1,
             state,
         };
-        self.len += 1;
     }
 
     /// Fused update-or-insert-with-eviction (the SLC fill path), costing a
@@ -225,10 +258,15 @@ impl<S: Copy + Default> SetAssoc<S> {
     /// most-recently-used, evicting the set's true-LRU entry — the last
     /// valid slot — if the set is full; the evicted `(line, state)` is
     /// returned.
-    pub fn insert_evicting(&mut self, line: LineNum, state: S) -> Option<(LineNum, S)> {
+    pub fn insert_evicting_in(
+        &mut self,
+        set: usize,
+        line: LineNum,
+        state: S,
+    ) -> Option<(LineNum, S)> {
         assert!(line.0 <= MAX_LINE, "line number exceeds u32 key range");
         let key = line.0 as u32 + 1;
-        let base = self.base_of(line);
+        let base = self.base(set);
         let last = base + self.assoc - 1;
         for i in base..base + self.assoc {
             if self.slots[i].key == key {
@@ -248,21 +286,19 @@ impl<S: Copy + Default> SetAssoc<S> {
         evicted
     }
 
-    /// Visit every valid entry of the set that `line` maps to, in recency
-    /// order: most-recently-used first, the LRU victim last. One
-    /// contiguous pass — callers that need several facts about a set
-    /// (occupancy, LRU victim under a predicate, residency) fold them out
-    /// of a single scan, taking the *last* matching visit where they want
-    /// the least-recent entry.
+    /// The valid entries of set `set`, in recency order: most-recently-used
+    /// first, the LRU victim last. One contiguous pass — callers that need
+    /// several facts about a set (occupancy, LRU victim under a predicate,
+    /// residency) fold them out of a single scan, taking the *last*
+    /// matching visit where they want the least-recent entry. The position
+    /// in this sequence is the entry's way for [`Self::put_front`].
     #[inline]
-    pub fn scan_set(&self, line: LineNum, mut visit: impl FnMut(LineNum, S)) {
-        let base = self.base_of(line);
-        for slot in &self.slots[base..base + self.assoc] {
-            if slot.key == EMPTY {
-                break;
-            }
-            visit(slot.line(), slot.state);
-        }
+    pub fn entries_in(&self, set: usize) -> impl Iterator<Item = (LineNum, S)> + '_ {
+        let base = self.base(set);
+        self.slots[base..base + self.assoc]
+            .iter()
+            .take_while(|slot| slot.key != EMPTY)
+            .map(|slot| (slot.line(), slot.state))
     }
 
     /// Least-recently-used entry of `line`'s set among entries matching
@@ -272,13 +308,9 @@ impl<S: Copy + Default> SetAssoc<S> {
         line: LineNum,
         mut pred: impl FnMut(LineNum, S) -> bool,
     ) -> Option<(LineNum, S)> {
-        let mut best = None;
-        self.scan_set(line, |l, s| {
-            if pred(l, s) {
-                best = Some((l, s));
-            }
-        });
-        best
+        self.entries_in(self.set_of(line))
+            .filter(|&(l, s)| pred(l, s))
+            .last()
     }
 
     /// Iterate over all valid entries (diagnostics / invariant checks).
@@ -300,23 +332,28 @@ mod tests {
         SetAssoc::new(n_sets, assoc)
     }
 
+    /// The set of line `l` in `c`.
+    fn set(c: &SetAssoc<u8>, l: u64) -> usize {
+        c.set_of(LineNum(l))
+    }
+
     #[test]
     fn insert_and_lookup() {
         let mut c = arr(4, 2);
         c.insert(LineNum(5), 1);
-        assert_eq!(c.lookup(LineNum(5)), Some(1));
-        assert!(c.lookup(LineNum(9)).is_none()); // same set (9 % 4 == 1), absent
+        assert_eq!(c.lookup_in(set(&c, 5), LineNum(5)), Some(1));
+        assert!(c.lookup_in(set(&c, 9), LineNum(9)).is_none()); // same set (9 % 4 == 1), absent
     }
 
     #[test]
     fn free_slot_tracking() {
         let mut c = arr(4, 2);
-        assert!(c.has_free_slot(LineNum(0)));
+        assert!(c.has_free_slot_in(set(&c, 0)));
         c.insert(LineNum(0), 0);
-        assert!(c.has_free_slot(LineNum(0)));
+        assert!(c.has_free_slot_in(set(&c, 0)));
         c.insert(LineNum(4), 0); // same set
-        assert!(!c.has_free_slot(LineNum(0)));
-        assert!(c.has_free_slot(LineNum(1))); // different set untouched
+        assert!(!c.has_free_slot_in(set(&c, 0)));
+        assert!(c.has_free_slot_in(set(&c, 1))); // different set untouched
     }
 
     #[test]
@@ -326,7 +363,7 @@ mod tests {
         c.insert(LineNum(1), 0);
         c.insert(LineNum(2), 0);
         // Touch 0, making 1 the LRU.
-        c.lookup(LineNum(0));
+        c.lookup_in(set(&c, 0), LineNum(0));
         let (lru, _) = c.lru_matching(LineNum(0), |_, _| true).unwrap();
         assert_eq!(lru, LineNum(1));
     }
@@ -346,15 +383,15 @@ mod tests {
     fn remove_returns_state_and_compacts() {
         let mut c = arr(2, 2);
         c.insert(LineNum(3), 7);
-        assert_eq!(c.remove(LineNum(3)), Some(7));
-        assert_eq!(c.remove(LineNum(3)), None);
+        assert_eq!(c.remove_in(set(&c, 3), LineNum(3)), Some(7));
+        assert_eq!(c.remove_in(set(&c, 3), LineNum(3)), None);
         assert_eq!(c.len(), 0);
         // Removing the front of a full stride keeps the survivor findable.
         c.insert(LineNum(1), 1);
         c.insert(LineNum(3), 3);
-        assert_eq!(c.remove(LineNum(1)), Some(1));
+        assert_eq!(c.remove_in(set(&c, 1), LineNum(1)), Some(1));
         assert_eq!(c.peek(LineNum(3)), Some(3));
-        assert!(c.has_free_slot(LineNum(3)));
+        assert!(c.has_free_slot_in(set(&c, 3)));
     }
 
     #[test]
@@ -364,7 +401,7 @@ mod tests {
         c.insert(LineNum(1), 1);
         c.insert(LineNum(2), 2);
         // Recency: 2 > 1 > 0. Removing 1 must keep 0 as the LRU.
-        c.remove(LineNum(1));
+        c.remove_in(set(&c, 1), LineNum(1));
         assert_eq!(
             c.lru_matching(LineNum(0), |_, _| true).unwrap().0,
             LineNum(0)
@@ -375,9 +412,9 @@ mod tests {
     fn set_state_in_place() {
         let mut c = arr(2, 2);
         c.insert(LineNum(3), 7);
-        assert!(c.set_state(LineNum(3), 9));
+        assert!(c.set_state_in(set(&c, 3), LineNum(3), 9));
         assert_eq!(c.peek(LineNum(3)), Some(9));
-        assert!(!c.set_state(LineNum(5), 1));
+        assert!(!c.set_state_in(set(&c, 5), LineNum(5), 1));
     }
 
     #[test]
@@ -397,7 +434,7 @@ mod tests {
     fn insert_evicting_updates_resident_in_place() {
         let mut c = arr(1, 1);
         c.insert(LineNum(0), 1);
-        assert_eq!(c.insert_evicting(LineNum(0), 2), None);
+        assert_eq!(c.insert_evicting_in(set(&c, 0), LineNum(0), 2), None);
         assert_eq!(c.peek(LineNum(0)), Some(2));
         assert_eq!(c.len(), 1);
     }
@@ -407,20 +444,26 @@ mod tests {
         let mut c = arr(1, 2);
         c.insert(LineNum(0), 10);
         c.insert(LineNum(1), 11);
-        c.lookup(LineNum(0)); // 1 becomes LRU
-        assert_eq!(c.insert_evicting(LineNum(2), 12), Some((LineNum(1), 11)));
+        c.lookup_in(set(&c, 0), LineNum(0)); // 1 becomes LRU
+        assert_eq!(
+            c.insert_evicting_in(set(&c, 2), LineNum(2), 12),
+            Some((LineNum(1), 11))
+        );
         assert_eq!(c.peek(LineNum(2)), Some(12));
         assert_eq!(c.peek(LineNum(0)), Some(10));
         assert_eq!(c.len(), 2);
         // The fresh insert is MRU: next eviction takes line 0.
-        assert_eq!(c.insert_evicting(LineNum(3), 13), Some((LineNum(0), 10)));
+        assert_eq!(
+            c.insert_evicting_in(set(&c, 3), LineNum(3), 13),
+            Some((LineNum(0), 10))
+        );
     }
 
     #[test]
     fn insert_evicting_uses_free_slot_first() {
         let mut c = arr(1, 2);
         c.insert(LineNum(0), 1);
-        assert_eq!(c.insert_evicting(LineNum(1), 2), None);
+        assert_eq!(c.insert_evicting_in(set(&c, 1), LineNum(1), 2), None);
         assert_eq!(c.len(), 2);
     }
 
@@ -431,7 +474,7 @@ mod tests {
         c.insert(LineNum(1), 2);
         c.insert(LineNum(2), 3);
         let mut seen = Vec::new();
-        c.scan_set(LineNum(0), |l, s| seen.push((l.0, s)));
+        seen.extend(c.entries_in(set(&c, 0)).map(|(l, s)| (l.0, s)));
         seen.sort_unstable();
         assert_eq!(seen, vec![(0, 1), (2, 3)]);
     }
@@ -442,9 +485,9 @@ mod tests {
         c.insert(LineNum(0), 0);
         c.insert(LineNum(1), 1);
         c.insert(LineNum(2), 2);
-        c.lookup(LineNum(1));
+        c.lookup_in(set(&c, 1), LineNum(1));
         let mut order = Vec::new();
-        c.scan_set(LineNum(0), |l, _| order.push(l.0));
+        order.extend(c.entries_in(set(&c, 0)).map(|(l, _)| l.0));
         assert_eq!(order, vec![1, 2, 0]);
     }
 
@@ -453,7 +496,7 @@ mod tests {
         let mut c = arr(13, 2);
         c.insert(LineNum(5), 1);
         c.insert(LineNum(18), 2); // 18 % 13 == 5: same set
-        assert!(!c.has_free_slot(LineNum(5)));
+        assert!(!c.has_free_slot_in(set(&c, 5)));
         assert_eq!(c.peek(LineNum(18)), Some(2));
         assert_eq!(c.peek(LineNum(31)), None);
     }
@@ -465,10 +508,12 @@ mod tests {
         // (2^32 + 3) mod 4 == 3: same set, and the narrowed key would
         // alias line 3 without the probe-key guard.
         let huge = LineNum((1u64 << 32) + 3);
+        let s = c.set_of(huge);
+        assert_eq!(s, set(&c, 3));
         assert_eq!(c.peek(huge), None);
-        assert_eq!(c.lookup(huge), None);
-        assert_eq!(c.remove(huge), None);
-        assert!(!c.set_state(huge, 9));
+        assert_eq!(c.lookup_in(s, huge), None);
+        assert_eq!(c.remove_in(s, huge), None);
+        assert!(!c.set_state_in(s, huge, 9));
         assert_eq!(c.peek(LineNum(3)), Some(1));
     }
 

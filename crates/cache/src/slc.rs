@@ -25,44 +25,85 @@ impl Slc {
         }
     }
 
+    /// The set `line` maps to. All SLCs share one geometry, so a caller
+    /// probing the same line in several SLCs computes this once and uses
+    /// the `*_in` forms below.
+    #[inline]
+    pub fn set_of(&self, line: LineNum) -> usize {
+        self.array.set_of(line)
+    }
+
     /// State of a resident line (Invalid if absent). Touches LRU.
     pub fn lookup(&mut self, line: LineNum) -> SlcState {
-        self.array.lookup(line).unwrap_or(SlcState::Invalid)
+        self.lookup_in(self.set_of(line), line)
+    }
+
+    /// [`Self::lookup`] with the line's set precomputed.
+    #[inline]
+    pub fn lookup_in(&mut self, set: usize, line: LineNum) -> SlcState {
+        self.array.lookup_in(set, line).unwrap_or(SlcState::Invalid)
     }
 
     /// State without touching LRU.
     pub fn peek(&self, line: LineNum) -> SlcState {
-        self.array.peek(line).unwrap_or(SlcState::Invalid)
+        self.peek_in(self.set_of(line), line)
+    }
+
+    /// [`Self::peek`] with the line's set precomputed.
+    #[inline]
+    pub fn peek_in(&self, set: usize, line: LineNum) -> SlcState {
+        self.array.peek_in(set, line).unwrap_or(SlcState::Invalid)
     }
 
     /// Insert a line, evicting the set's LRU entry if the set is full.
     /// Returns the evicted `(line, state)` if any; a `Modified` eviction
     /// must be written back to the AM by the caller.
     pub fn insert(&mut self, line: LineNum, state: SlcState) -> Option<(LineNum, SlcState)> {
+        self.insert_in(self.set_of(line), line, state)
+    }
+
+    /// [`Self::insert`] with the line's set precomputed.
+    pub fn insert_in(
+        &mut self,
+        set: usize,
+        line: LineNum,
+        state: SlcState,
+    ) -> Option<(LineNum, SlcState)> {
         debug_assert!(state.is_valid());
-        self.array.insert_evicting(line, state)
+        self.array.insert_evicting_in(set, line, state)
     }
 
     /// Change the state of a resident line; no-op if absent.
     pub fn set_state(&mut self, line: LineNum, state: SlcState) {
+        let set = self.set_of(line);
         if state.is_valid() {
-            self.array.set_state(line, state);
+            self.array.set_state_in(set, line, state);
         } else {
-            self.array.remove(line);
+            self.array.remove_in(set, line);
         }
     }
 
     /// Invalidate (coherence or AM-inclusion). Returns the previous state.
     pub fn invalidate(&mut self, line: LineNum) -> SlcState {
-        self.array.remove(line).unwrap_or(SlcState::Invalid)
+        self.invalidate_in(self.set_of(line), line)
+    }
+
+    /// [`Self::invalidate`] with the line's set precomputed.
+    pub fn invalidate_in(&mut self, set: usize, line: LineNum) -> SlcState {
+        self.array.remove_in(set, line).unwrap_or(SlcState::Invalid)
     }
 
     /// Downgrade Modified → Shared (another reader appeared). Returns true
     /// if the line was Modified (i.e. a writeback of current data occurs).
     pub fn downgrade(&mut self, line: LineNum) -> bool {
-        match self.array.peek(line) {
-            Some(SlcState::Modified) => {
-                self.array.set_state(line, SlcState::Shared);
+        self.downgrade_in(self.set_of(line), line)
+    }
+
+    /// [`Self::downgrade`] with the line's set precomputed.
+    pub fn downgrade_in(&mut self, set: usize, line: LineNum) -> bool {
+        match self.array.state_mut_in(set, line) {
+            Some(st) if *st == SlcState::Modified => {
+                *st = SlcState::Shared;
                 true
             }
             _ => false,

@@ -22,8 +22,8 @@ enum ArrOp {
     Insert(u64, u8),
     Remove(u64),
     SetState(u64, u8),
-    /// The fused fill path (`insert_evicting`): update in place, or insert
-    /// evicting the set's LRU entry when full.
+    /// The fused fill path (`insert_evicting_in`): update in place, or
+    /// insert evicting the set's LRU entry when full.
     InsertEvicting(u64, u8),
 }
 
@@ -52,10 +52,17 @@ fn set_assoc_matches_reference_model() {
         let mut arr: SetAssoc<u8> = SetAssoc::new(n_sets, assoc);
         let mut model: Vec<RefSet> = vec![RefSet::default(); n_sets as usize];
         for _ in 0..n_ops {
-            match random_op(&mut rng, 64) {
+            let op = random_op(&mut rng, 64);
+            let (ArrOp::Lookup(l)
+            | ArrOp::Insert(l, _)
+            | ArrOp::Remove(l)
+            | ArrOp::SetState(l, _)
+            | ArrOp::InsertEvicting(l, _)) = op;
+            assert_eq!(arr.set_of(LineNum(l)), (l % n_sets) as usize);
+            match op {
                 ArrOp::Lookup(l) => {
                     let set = (l % n_sets) as usize;
-                    let got = arr.lookup(LineNum(l));
+                    let got = arr.lookup_in(set, LineNum(l));
                     let want = model[set]
                         .entries
                         .iter()
@@ -83,7 +90,7 @@ fn set_assoc_matches_reference_model() {
                 }
                 ArrOp::Remove(l) => {
                     let set = (l % n_sets) as usize;
-                    let got = arr.remove(LineNum(l));
+                    let got = arr.remove_in(set, LineNum(l));
                     let pos = model[set].entries.iter().position(|(x, _)| *x == l);
                     assert_eq!(got, pos.map(|p| model[set].entries[p].1));
                     if let Some(p) = pos {
@@ -92,7 +99,7 @@ fn set_assoc_matches_reference_model() {
                 }
                 ArrOp::SetState(l, s) => {
                     let set = (l % n_sets) as usize;
-                    let ok = arr.set_state(LineNum(l), s);
+                    let ok = arr.set_state_in(set, LineNum(l), s);
                     let pos = model[set].entries.iter().position(|(x, _)| *x == l);
                     assert_eq!(ok, pos.is_some());
                     if let Some(p) = pos {
@@ -101,7 +108,7 @@ fn set_assoc_matches_reference_model() {
                 }
                 ArrOp::InsertEvicting(l, s) => {
                     let set = (l % n_sets) as usize;
-                    let got = arr.insert_evicting(LineNum(l), s);
+                    let got = arr.insert_evicting_in(set, LineNum(l), s);
                     let pos = model[set].entries.iter().position(|(x, _)| *x == l);
                     let want = if let Some(p) = pos {
                         // Present: state updated in place, no LRU refresh.
@@ -148,13 +155,14 @@ fn am_victim_priority_specification() {
             if am.state(LineNum(l)).is_valid() {
                 continue;
             }
-            if let Victim::FreeSlot = am.make_room(LineNum(l)) {
+            let set = am.set_of(LineNum(l));
+            if am.has_free_slot(set) {
                 let st = match rng.below(3) {
                     0 => AmState::Shared,
                     1 => AmState::Owner,
                     _ => AmState::Exclusive,
                 };
-                am.insert(LineNum(l), st);
+                assert_eq!(am.fill(set, LineNum(l), st), Victim::FreeSlot);
             }
         }
         let probe = rng.below(32);
@@ -167,18 +175,27 @@ fn am_victim_priority_specification() {
             .map(|l| am.state(LineNum(l)))
             .filter(|s| s.is_valid())
             .collect();
-        match am.make_room(line) {
-            Victim::FreeSlot => assert!(set_states.len() < 4),
-            Victim::DropShared(_) => {
+        let before = am.len();
+        match am.fill(am.set_of(line), line, AmState::Shared) {
+            Victim::FreeSlot => {
+                assert!(set_states.len() < 4);
+                assert_eq!(am.len(), before + 1);
+            }
+            Victim::DropShared(v) => {
                 assert!(set_states.contains(&AmState::Shared));
                 assert_eq!(set_states.len(), 4);
+                assert_eq!(am.state(v), AmState::Invalid, "victim must leave");
+                assert_eq!(am.len(), before);
             }
-            Victim::Inject(_, st) => {
+            Victim::Inject(v, st) => {
                 assert!(!set_states.contains(&AmState::Shared));
                 assert!(st.is_responsible());
                 assert_eq!(set_states.len(), 4);
+                assert_eq!(am.state(v), AmState::Invalid, "victim must leave");
+                assert_eq!(am.len(), before);
             }
         }
+        assert_eq!(am.state(line), AmState::Shared);
     }
 }
 
@@ -193,19 +210,19 @@ fn am_accept_specification() {
         let mut am = AttractionMemory::new(1, 4, VictimPolicy::SharedFirst);
         let mut l = 1u64;
         for _ in 0..n_shared.min(4) {
-            if am.make_room(LineNum(l)) == Victim::FreeSlot {
-                am.insert(LineNum(l), AmState::Shared);
+            if am.has_free_slot(0) {
+                am.fill(0, LineNum(l), AmState::Shared);
             }
             l += 1;
         }
         for _ in 0..n_owned {
-            if am.make_room(LineNum(l)) != Victim::FreeSlot {
+            if !am.has_free_slot(0) {
                 break;
             }
-            am.insert(LineNum(l), AmState::Owner);
+            am.fill(0, LineNum(l), AmState::Owner);
             l += 1;
         }
-        let slot = am.accept_slot(LineNum(0), AcceptPolicy::InvalidThenShared);
+        let slot = am.accept_slot(0, LineNum(0), AcceptPolicy::InvalidThenShared);
         let occupied = am.len();
         if occupied < 4 {
             assert_eq!(slot, Some(AcceptSlot::Invalid));
@@ -217,7 +234,23 @@ fn am_accept_specification() {
         // A holder never accepts its own line.
         let first = am.lines().next().map(|(line, _)| line);
         if let Some(line) = first {
-            assert_eq!(am.accept_slot(line, AcceptPolicy::InvalidThenShared), None);
+            assert_eq!(
+                am.accept_slot(0, line, AcceptPolicy::InvalidThenShared),
+                None
+            );
+        }
+        // Accepting through the offered slot admits the line and
+        // overwrites exactly the sacrificed replica.
+        if let Some(slot) = slot {
+            am.accept(0, LineNum(0), AmState::Exclusive, slot);
+            assert_eq!(am.state(LineNum(0)), AmState::Exclusive);
+            match slot {
+                AcceptSlot::Invalid => assert_eq!(am.len(), occupied + 1),
+                AcceptSlot::Shared(v) => {
+                    assert_eq!(am.state(v), AmState::Invalid);
+                    assert_eq!(am.len(), occupied);
+                }
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The `coma` subcommands.
 
 use crate::args::Args;
-use coma_sim::{run_simulation, MemoryModel, SimParams};
+use coma_sim::{run_simulation, MemoryModel, SimParams, Simulation};
 use coma_stats::{SimReport, Table};
 use coma_types::{LatencyConfig, MemoryPressure};
 use coma_workloads::{AppId, Scale};
@@ -318,7 +318,9 @@ pub fn replay(args: &Args) -> Result<(), String> {
     let path = args.get("trace").ok_or("replay needs --trace <file>")?;
     let wl = coma_workloads::replay_from_file(std::path::Path::new(path))
         .map_err(|e| format!("cannot read trace: {e}"))?;
-    let r = run_simulation(wl, &c.params);
+    let r = Simulation::new(wl, &c.params)
+        .map_err(|e| format!("cannot simulate trace: {e}"))?
+        .run();
     println!(
         "exec {:.3} ms | RNMr {:.3}% | bus {} B | injections {}",
         r.exec_time_ns as f64 / 1e6,
@@ -429,6 +431,57 @@ mod tests {
             crate::args::Args::parse(["replay", "--trace", p, "--ppn", "4"].map(String::from))
                 .unwrap();
         replay(&rep).unwrap();
+    }
+
+    /// A `COMATRC1` trace for 16 processors whose processor 0 reads
+    /// `addr` once (if given).
+    fn crafted_trace(ws_bytes: u64, addr: Option<u64>) -> Vec<u8> {
+        let mut t = b"COMATRC1".to_vec();
+        t.extend_from_slice(&16u32.to_le_bytes());
+        t.extend_from_slice(&ws_bytes.to_le_bytes());
+        t.extend_from_slice(&0u32.to_le_bytes());
+        for p in 0..16 {
+            match addr.filter(|_| p == 0) {
+                Some(a) => {
+                    t.extend_from_slice(&1u64.to_le_bytes());
+                    t.push(1); // Read, payload = zig-zag delta from 0
+                    let mut v = a << 1;
+                    while v >= 0x80 {
+                        t.push(v as u8 | 0x80);
+                        v >>= 7;
+                    }
+                    t.push(v as u8);
+                }
+                None => t.extend_from_slice(&0u64.to_le_bytes()),
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn replay_rejects_out_of_range_lines_with_an_error() {
+        let dir = std::env::temp_dir().join("coma-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let run = |name: &str, trace: Vec<u8>| {
+            let path = dir.join(name);
+            std::fs::write(&path, trace).unwrap();
+            let p = path.to_str().unwrap();
+            replay(&crate::args::Args::parse(["replay", "--trace", p].map(String::from)).unwrap())
+        };
+        let max_line = coma_types::MAX_LINE;
+        // A reference past the largest line: rejected while reading.
+        let err = run("far.trace", crafted_trace(1 << 20, Some(1 << 40))).unwrap_err();
+        assert!(err.starts_with("cannot read trace"), "{err}");
+        let err = run(
+            "edge.trace",
+            crafted_trace(1 << 20, Some((max_line + 1) << 6)),
+        )
+        .unwrap_err();
+        assert!(err.starts_with("cannot read trace"), "{err}");
+        // A working set whose sync lines land past it: a ConfigError.
+        let err = run("huge.trace", crafted_trace(max_line << 6, None)).unwrap_err();
+        assert!(err.starts_with("cannot simulate trace"), "{err}");
+        assert!(err.contains("largest simulable line"), "{err}");
     }
 
     #[test]

@@ -28,6 +28,7 @@ use coma_types::{LatencyConfig, MemoryPressure};
 use coma_workloads::{AppId, Scale};
 use std::path::PathBuf;
 
+pub mod salt;
 pub mod sweep;
 
 pub use sweep::{cached_sim, report_sweep_stats, run_sweep, Sweep};

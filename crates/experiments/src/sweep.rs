@@ -40,10 +40,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Code-version salt folded into every cache key. Bump this whenever a
-/// change anywhere in the simulator alters what any configuration
-/// produces — old entries then miss (stale keys) instead of being served.
-pub const CODE_SALT: u64 = 1;
+/// Code-version salt folded into every cache key: a hash of the
+/// simulator's semantic sources, computed at build time (see
+/// [`crate::salt`]). Any edit to those sources changes it, so old entries
+/// miss (stale keys) instead of being served.
+pub const CODE_SALT: u64 = include!(concat!(env!("OUT_DIR"), "/code_salt.rs"));
 
 // ---------------------------------------------------------------------------
 // Scheduler
@@ -120,8 +121,13 @@ const CACHE_VERSION: u32 = 1;
 /// The cache key of one sweep cell: code salt, application, workload seed
 /// and scale, and the canonical hash of the complete `SimParams`.
 pub fn spec_key(ctx: &ExpCtx, spec: &RunSpec) -> u64 {
+    spec_key_salted(CODE_SALT, ctx, spec)
+}
+
+/// [`spec_key`] under an explicit code salt.
+pub fn spec_key_salted(salt: u64, ctx: &ExpCtx, spec: &RunSpec) -> u64 {
     let mut h = FNV_OFFSET;
-    h = fnv1a_u64(h, CODE_SALT);
+    h = fnv1a_u64(h, salt);
     h = fnv1a_bytes(h, spec.app.name().as_bytes());
     h = fnv1a_u64(h, ctx.seed);
     h = fnv1a_u64(h, ctx.scale.0.to_bits());

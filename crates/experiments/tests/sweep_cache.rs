@@ -141,3 +141,53 @@ fn cache_keys_cover_workload_identity_not_just_params() {
         tagged_key("hotline-v2", &spec.params)
     );
 }
+
+#[test]
+fn one_edited_source_byte_changes_every_cell_key() {
+    use coma_experiments::salt::{salt_of, semantic_sources, SEMANTIC_CRATES};
+    use coma_experiments::sweep::{spec_key_salted, CODE_SALT};
+
+    let crates_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .unwrap();
+    let sources = semantic_sources(crates_dir).unwrap();
+    // The build script hashed exactly these bytes.
+    assert_eq!(salt_of(&sources), CODE_SALT);
+    for c in SEMANTIC_CRATES {
+        assert!(
+            sources
+                .iter()
+                .any(|(p, _)| p.starts_with(&format!("{c}/src/"))),
+            "no sources hashed for {c}"
+        );
+    }
+
+    let c = ctx("salt");
+    let cells: Vec<RunSpec> = AppId::ALL
+        .into_iter()
+        .flat_map(|app| [1, 2, 4].map(|ppn| RunSpec::new(app, ppn, MemoryPressure::MP_87)))
+        .collect();
+    let keys: Vec<u64> = cells.iter().map(|s| spec_key(&c, s)).collect();
+    // Edit one byte in one file of each semantic crate (its first file
+    // and a byte mid-file), in turn.
+    for crate_name in SEMANTIC_CRATES {
+        let mut edited = sources.clone();
+        let i = edited
+            .iter()
+            .position(|(p, _)| p.starts_with(&format!("{crate_name}/src/")))
+            .unwrap();
+        let mid = edited[i].1.len() / 2;
+        edited[i].1[mid] ^= 0x20;
+        let path = &sources[i].0;
+        let salt = salt_of(&edited);
+        assert_ne!(salt, CODE_SALT, "editing {path} left the salt unchanged");
+        for (spec, &key) in cells.iter().zip(&keys) {
+            assert_ne!(
+                spec_key_salted(salt, &c, spec),
+                key,
+                "editing {path} kept the key of {:?}",
+                spec.app
+            );
+        }
+    }
+}

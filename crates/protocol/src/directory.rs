@@ -5,7 +5,8 @@
 //! (Owner/Exclusive) node and the set of Shared replica holders. The
 //! directory is *simulation state*, not modeled hardware — it must stay
 //! consistent with the per-node attraction memories, which the engine's
-//! invariant checker verifies.
+//! invariant checker verifies. It also remembers which lines were paged
+//! out to the OS, so a returning line is recognised as a page-in.
 //!
 //! In a hierarchical topology the directory additionally keeps one
 //! [`DirectoryLevel`] per tree level above the cluster-group buses. Level
@@ -20,11 +21,14 @@
 //!
 //! The flat machine keeps zero levels and pays zero maintenance.
 //!
-//! Keys are line numbers; the maps are in-repo open-addressing tables
-//! ([`OpenTable`]) because these lookups sit on the hot path of every
-//! simulated miss — see the module docs of [`crate::table`].
+//! Storage is dense and indexed by line number ([`DenseVec`]): lines are
+//! allocated consecutively from zero, like the pages that hold them, so a
+//! lookup is a bounds check and a load. A root entry is 12 bytes per line
+//! (its paged-out mark included) and each level adds 8 bytes per line, up
+//! to the highest line ever touched. Only the sharer sets of the rare
+//! lines with more than [`INLINE_SHARERS`] replicas are hashed.
 
-use crate::table::OpenTable;
+use crate::table::{DenseVec, OpenTable};
 use coma_types::{LineNum, MachineGeometry, NodeId, NodeSet, Topology};
 
 /// Where a live line's copies are.
@@ -55,15 +59,16 @@ impl LineInfo {
 pub struct DirectoryLevel {
     /// Height in the tree (1 = directly above the group buses).
     height: usize,
-    /// line → bitmask of level-`height-1` units whose subtree holds a copy.
-    map: OpenTable<u64>,
+    /// line → bitmask of level-`height-1` units whose subtree holds a
+    /// copy; `0` for a dead line (a live line's owner always sets a bit).
+    masks: DenseVec<u64>,
 }
 
 impl DirectoryLevel {
     fn new(height: usize) -> Self {
         DirectoryLevel {
             height,
-            map: OpenTable::new(),
+            masks: DenseVec::new(),
         }
     }
 
@@ -73,48 +78,72 @@ impl DirectoryLevel {
         self.height
     }
 
-    /// Stored presence mask for a line.
+    /// Stored presence mask for a line (`None` if it has none).
     #[inline]
     pub fn presence(&self, line: LineNum) -> Option<u64> {
-        self.map.get(line.0)
+        Some(self.masks.get(line.0)).filter(|&m| m != 0)
     }
 
     /// Iterate all lines tracked at this level.
     pub fn iter(&self) -> impl Iterator<Item = (LineNum, u64)> + '_ {
-        self.map.iter().map(|(l, m)| (LineNum(l), *m))
+        self.masks
+            .iter()
+            .filter(|&(_, m)| m != 0)
+            .map(|(l, m)| (LineNum(l), m))
     }
 }
 
-/// Inline sharer capacity of a root-table entry. Four inline IDs keep a
-/// root slot at 16 bytes (four slots per host cache line); the benched
-/// workloads' lines rarely have more simultaneous Shared replicas than
-/// that, so the spill table stays tiny and cold.
+/// Inline sharer capacity of a root entry. Four inline IDs keep an entry
+/// at 12 bytes; the benched workloads' lines rarely have more
+/// simultaneous Shared replicas than that, so the spill table stays tiny
+/// and cold.
 const INLINE_SHARERS: usize = 4;
 
 /// `RootEntry::n` marker: the sharer set lives in the spill table.
 const SPILLED: u8 = u8::MAX;
 
+/// `RootEntry::n` marker on a dead entry: the line was paged out.
+const PAGED_OUT: u8 = u8::MAX - 1;
+
 /// Compact stored form of a [`LineInfo`]. A full `NodeSet` is 32 bytes —
 /// sized for 256-node machines — but the root table holds one entry per
-/// live line and is probed on every global action, so its slots are the
+/// line and is probed on every global action, so its bytes are the
 /// single largest host-cache consumer in the simulator. Lines with at
 /// most [`INLINE_SHARERS`] Shared replicas (the overwhelming majority)
 /// store the sharer node IDs inline, unordered; wider lines park their
 /// `NodeSet` in a side table. Once spilled, an entry stays spilled until
 /// its sharer set is cleared — demotion would buy bytes back for a case
 /// too rare to matter at the cost of churn on every `remove_sharer`.
+///
+/// The all-zero entry (the [`DenseVec`] default) is a dead line.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct RootEntry {
-    owner: u16,
-    /// Count of valid `inline` entries, or [`SPILLED`].
+    /// Owner node + 1; `0` = the line is not live.
+    owner_p1: u16,
+    /// Live: count of valid `inline` entries, or [`SPILLED`]. Dead:
+    /// [`PAGED_OUT`] if the line left through the OS, else 0.
     n: u8,
     inline: [u16; INLINE_SHARERS],
+}
+
+impl RootEntry {
+    #[inline]
+    fn is_live(&self) -> bool {
+        self.owner_p1 != 0
+    }
+
+    #[inline]
+    fn is_paged_out(&self) -> bool {
+        !self.is_live() && self.n == PAGED_OUT
+    }
 }
 
 /// The machine-wide line directory (root state + level tree).
 #[derive(Clone, Debug)]
 pub struct Directory {
-    map: OpenTable<RootEntry>,
+    roots: DenseVec<RootEntry>,
+    /// Number of live lines.
+    live: usize,
     /// Sharer sets of lines too wide for inline storage (see [`RootEntry`]).
     spill: OpenTable<NodeSet>,
     topo: Topology,
@@ -132,7 +161,8 @@ impl Directory {
     /// Flat single-bus directory (no levels, no presence state).
     pub fn flat() -> Self {
         Directory {
-            map: OpenTable::new(),
+            roots: DenseVec::new(),
+            live: 0,
             spill: OpenTable::new(),
             topo: Topology::flat(),
             nodes_per_group: usize::MAX, // any node maps to group 0
@@ -149,8 +179,6 @@ impl Directory {
     pub fn for_geometry(geom: &MachineGeometry) -> Self {
         let topo = geom.topology;
         Directory {
-            map: OpenTable::new(),
-            spill: OpenTable::new(),
             topo,
             nodes_per_group: if topo.is_flat() {
                 usize::MAX
@@ -158,6 +186,7 @@ impl Directory {
                 geom.nodes_per_group()
             },
             levels: (1..=topo.levels).map(DirectoryLevel::new).collect(),
+            ..Self::flat()
         }
     }
 
@@ -189,7 +218,7 @@ impl Directory {
         mask
     }
 
-    /// Materialize the full [`LineInfo`] a stored entry denotes.
+    /// Materialize the full [`LineInfo`] a live stored entry denotes.
     #[inline]
     fn info_of(&self, line: u64, e: RootEntry) -> LineInfo {
         let sharers = if e.n == SPILLED {
@@ -202,9 +231,16 @@ impl Directory {
             s
         };
         LineInfo {
-            owner: NodeId(e.owner),
+            owner: NodeId(e.owner_p1 - 1),
             sharers,
         }
+    }
+
+    /// Mutable root entry of a live line (an associated function, so the
+    /// caller can still borrow the spill table).
+    #[inline]
+    fn live_mut(roots: &mut DenseVec<RootEntry>, line: LineNum) -> Option<&mut RootEntry> {
+        roots.get_mut_existing(line.0).filter(|e| e.is_live())
     }
 
     /// Re-derive every level's presence mask for `line` from the root
@@ -214,17 +250,18 @@ impl Directory {
         if self.levels.is_empty() {
             return;
         }
-        match self.map.get(line.0) {
-            Some(e) => {
-                let info = self.info_of(line.0, e);
+        match self.get(line) {
+            Some(info) => {
                 for h in 1..=self.levels.len() {
                     let mask = self.expected_presence(h, info);
-                    self.levels[h - 1].map.insert(line.0, mask);
+                    *self.levels[h - 1].masks.get_mut(line.0) = mask;
                 }
             }
             None => {
                 for lvl in &mut self.levels {
-                    lvl.map.remove(line.0);
+                    if let Some(m) = lvl.masks.get_mut_existing(line.0) {
+                        *m = 0;
+                    }
                 }
             }
         }
@@ -254,39 +291,51 @@ impl Directory {
     /// Mutable stored presence mask — a **fault-injection seam** for the
     /// verification mutants, never used by the protocol itself.
     pub fn presence_mut(&mut self, height: usize, line: LineNum) -> Option<&mut u64> {
-        self.levels.get_mut(height - 1)?.map.get_mut(line.0)
+        self.levels
+            .get_mut(height - 1)?
+            .masks
+            .get_mut_existing(line.0)
+            .filter(|m| **m != 0)
     }
 
     /// Look up a live line.
     #[inline]
     pub fn get(&self, line: LineNum) -> Option<LineInfo> {
-        self.map.get(line.0).map(|e| self.info_of(line.0, e))
+        let e = self.roots.get(line.0);
+        e.is_live().then(|| self.info_of(line.0, e))
+    }
+
+    /// The responsible node of a live line (no sharer set materialized).
+    #[inline]
+    pub fn owner(&self, line: LineNum) -> Option<NodeId> {
+        let e = self.roots.get(line.0);
+        e.is_live().then(|| NodeId(e.owner_p1 - 1))
     }
 
     /// Is the line live anywhere in the machine?
     #[inline]
     pub fn contains(&self, line: LineNum) -> bool {
-        self.map.contains(line.0)
+        self.roots.get(line.0).is_live()
     }
 
-    /// Register a brand-new line with a sole (Exclusive) copy.
+    /// Register a brand-new line with a sole (Exclusive) copy. Clears a
+    /// paged-out mark.
     pub fn insert_sole(&mut self, line: LineNum, owner: NodeId) {
-        let prev = self.map.insert(
-            line.0,
-            RootEntry {
-                owner: owner.0,
-                n: 0,
-                inline: [0; INLINE_SHARERS],
-            },
-        );
-        debug_assert!(prev.is_none(), "line {line:?} already live");
+        let e = self.roots.get_mut(line.0);
+        debug_assert!(!e.is_live(), "line {line:?} already live");
+        *e = RootEntry {
+            owner_p1: owner.0 + 1,
+            n: 0,
+            inline: [0; INLINE_SHARERS],
+        };
+        self.live += 1;
         self.sync_presence(line);
     }
 
     /// Add a Shared replica holder (idempotent, set semantics).
     pub fn add_sharer(&mut self, line: LineNum, node: NodeId) {
-        let e = self.map.get_mut(line.0).expect("sharer of dead line");
-        debug_assert_ne!(e.owner, node.0, "owner cannot also be a sharer");
+        let e = Self::live_mut(&mut self.roots, line).expect("sharer of dead line");
+        debug_assert_ne!(e.owner_p1, node.0 + 1, "owner cannot also be a sharer");
         if e.n == SPILLED {
             self.spill
                 .get_mut(line.0)
@@ -314,7 +363,7 @@ impl Directory {
 
     /// Drop a Shared replica holder.
     pub fn remove_sharer(&mut self, line: LineNum, node: NodeId) {
-        if let Some(e) = self.map.get_mut(line.0) {
+        if let Some(e) = Self::live_mut(&mut self.roots, line) {
             Self::entry_remove_sharer(&mut self.spill, line, e, node);
             self.sync_presence(line);
         }
@@ -354,15 +403,15 @@ impl Directory {
     /// afterward). Keeps the remaining sharer set unless cleared by the
     /// caller.
     pub fn set_owner(&mut self, line: LineNum, node: NodeId) {
-        let e = self.map.get_mut(line.0).expect("owner of dead line");
-        e.owner = node.0;
+        let e = Self::live_mut(&mut self.roots, line).expect("owner of dead line");
+        e.owner_p1 = node.0 + 1;
         Self::entry_remove_sharer(&mut self.spill, line, e, node);
         self.sync_presence(line);
     }
 
     /// Replace the sharer set wholesale (used by write invalidations).
     pub fn clear_sharers(&mut self, line: LineNum) {
-        if let Some(e) = self.map.get_mut(line.0) {
+        if let Some(e) = Self::live_mut(&mut self.roots, line) {
             if e.n == SPILLED {
                 self.spill.remove(line.0);
             }
@@ -371,41 +420,59 @@ impl Directory {
         }
     }
 
-    /// Remove a line entirely (page-out).
+    /// Remove a line entirely.
     pub fn remove(&mut self, line: LineNum) -> Option<LineInfo> {
-        let e = self.map.remove(line.0)?;
-        let sharers = if e.n == SPILLED {
-            self.spill
-                .remove(line.0)
-                .expect("spilled sharer set missing")
-        } else {
-            let mut s = NodeSet::empty();
-            for &id in &e.inline[..e.n as usize] {
-                s.insert(id);
-            }
-            s
-        };
+        let info = self.get(line)?;
+        if self.roots.get(line.0).n == SPILLED {
+            self.spill.remove(line.0);
+        }
+        *self.roots.get_mut(line.0) = RootEntry::default();
+        self.live -= 1;
         self.sync_presence(line);
-        Some(LineInfo {
-            owner: NodeId(e.owner),
-            sharers,
-        })
+        Some(info)
+    }
+
+    /// Remove a live line and mark it paged out to the OS.
+    pub fn page_out(&mut self, line: LineNum) {
+        self.remove(line).expect("paging out a dead line");
+        self.roots.get_mut(line.0).n = PAGED_OUT;
+    }
+
+    /// Clear `line`'s paged-out mark; returns whether it was set (the
+    /// access that materializes the line again is a page-in).
+    pub fn take_paged_out(&mut self, line: LineNum) -> bool {
+        match self.roots.get_mut_existing(line.0) {
+            Some(e) if e.is_paged_out() => {
+                e.n = 0;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Lines currently paged out, ascending.
+    pub fn paged_out_lines(&self) -> impl Iterator<Item = LineNum> + '_ {
+        self.roots
+            .iter()
+            .filter(|(_, e)| e.is_paged_out())
+            .map(|(l, _)| LineNum(l))
     }
 
     /// Number of live lines.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.live
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.live == 0
     }
 
-    /// Iterate all live lines (invariant checking).
+    /// Iterate all live lines, ascending (invariant checking).
     pub fn iter(&self) -> impl Iterator<Item = (LineNum, LineInfo)> + '_ {
-        self.map
+        self.roots
             .iter()
-            .map(move |(l, e)| (LineNum(l), self.info_of(l, *e)))
+            .filter(|(_, e)| e.is_live())
+            .map(move |(l, e)| (LineNum(l), self.info_of(l, e)))
     }
 }
 
@@ -481,9 +548,9 @@ mod tests {
     }
 
     #[test]
-    fn hasher_distributes_sequential_keys() {
-        // Sequential line numbers must not collide into one bucket chain:
-        // just verify inserts/lookups work at scale.
+    fn dense_table_holds_sequential_keys() {
+        // Lines arrive in order and the table grows under them: verify
+        // inserts/lookups work at scale.
         let mut d = Directory::new();
         for i in 0..10_000u64 {
             d.insert_sole(LineNum(i), NodeId((i % 16) as u16));

@@ -20,15 +20,24 @@
 //! All statistics flow through the engine's event sink (`coma-stats`):
 //! the protocol code reports *what happened* and the sink turns it into
 //! traffic bytes and counters.
+//!
+//! Each access touches each structure once, by direct index. The line's
+//! FLC slot, SLC set and AM set are each computed at most once per access
+//! — as the access gets past the level before — and passed to every
+//! probe of that access on any node: all private caches share one
+//! geometry and all attraction memories another, and a victim displaced
+//! from the line's AM set, or a replica sacrificed to accept it, lives in
+//! the same set. The directory and each node's SLC holder masks are
+//! dense arrays indexed by line number.
 
 mod read_path;
 mod replacement;
 mod write_path;
 
 use crate::directory::Directory;
-use crate::node::NodeState;
+use crate::node::{NodeState, PrivateKey};
 use crate::outcome::Outcome;
-use crate::table::{OpenTable, PageHomes};
+use crate::table::PageHomes;
 use coma_cache::{AcceptPolicy, AcceptSlot, AmState, SlcState, Victim, VictimPolicy};
 use coma_stats::{AuditSink, Level, ProtocolCounters, ProtocolEvent, Traffic};
 use coma_types::{LineNum, MachineGeometry, NodeId, ProcId, LINE_SHIFT, PAGE_SHIFT};
@@ -48,8 +57,6 @@ pub struct CoherenceEngine {
     dir: Directory,
     /// On-demand page table: page number → first-touching (home) node.
     pages: PageHomes,
-    /// Lines currently paged out to the OS (an [`OpenTable`] used as a set).
-    paged_out: OpenTable<()>,
     accept_policy: AcceptPolicy,
     intra_node_transfers: bool,
     inclusive_hierarchy: bool,
@@ -107,7 +114,6 @@ impl CoherenceEngine {
             nodes,
             dir: Directory::for_geometry(&geom),
             pages: PageHomes::new(),
-            paged_out: OpenTable::new(),
             accept_policy,
             intra_node_transfers,
             inclusive_hierarchy,
@@ -174,8 +180,8 @@ impl CoherenceEngine {
         &self.sink.inner.counters
     }
 
-    /// Does any private cache in `node_idx` still hold `line`? Gated on
-    /// the node's residency filter, so the usual no case is one probe.
+    /// Does any private cache in `node_idx` still hold `line`? One load
+    /// of the node's holder mask.
     fn slc_holds(&self, node_idx: usize, line: LineNum) -> bool {
         self.nodes[node_idx].slc_holds(line)
     }
@@ -221,7 +227,7 @@ impl CoherenceEngine {
 
     /// The set of lines currently paged out to the OS (verification).
     pub fn paged_out_lines(&self) -> impl Iterator<Item = LineNum> + '_ {
-        self.paged_out.iter().map(|(l, ())| LineNum(l))
+        self.dir.paged_out_lines()
     }
 
     /// Home node of a line's page, allocating the page on first touch.
@@ -328,13 +334,8 @@ impl CoherenceEngine {
                 }
             }
         }
-        // Paged-out lines are dead.
-        for (l, ()) in self.paged_out.iter() {
-            let line = LineNum(l);
-            if self.dir.contains(line) {
-                return Err(format!("{line:?} both paged out and live"));
-            }
-        }
+        // Paged-out lines are dead: the directory stores the paged-out
+        // mark in a dead root entry, so no live line can carry one.
         // Directory-level presence masks agree with the root sets: every
         // live line's stored mask at each level equals the fold of the
         // owner+sharer groups, and no dead line lingers at any level.
@@ -365,11 +366,11 @@ impl CoherenceEngine {
                 }
             }
         }
-        // Each node's SLC residency filter matches its SLC contents
-        // (the filter gates private-cache probes; a stale count could
-        // silently skip a required invalidation or downgrade).
+        // Each node's SLC holder masks match its SLC contents (the masks
+        // steer private-cache probes; a stale bit could silently skip a
+        // required invalidation or downgrade).
         for (k, node) in self.nodes.iter().enumerate() {
-            node.filter_consistent()
+            node.holders_consistent()
                 .map_err(|e| format!("node {k}: {e}"))?;
         }
         Ok(())

@@ -12,14 +12,19 @@ impl CoherenceEngine {
     /// SLC replicas survive and the node remains a sharer. Returns true
     /// if the node keeps (SLC-only) copies.
     fn displace_private(&mut self, node_idx: usize, line: LineNum) -> bool {
+        let node = &mut self.nodes[node_idx];
+        if !node.slc_holds(line) {
+            return false; // the usual case: no private copy, no probe
+        }
+        let k = node.key(line);
         if self.inclusive_hierarchy {
-            self.nodes[node_idx].invalidate_private(line);
+            node.invalidate_private(k);
             return false;
         }
         // Dirty data must not be lost: fold it back before the AM entry
         // goes (the write-back is part of the replacement).
-        self.nodes[node_idx].downgrade_private(line);
-        self.slc_holds(node_idx, line)
+        node.downgrade_private(k);
+        true
     }
 
     /// An SLC eviction may have destroyed a node's last copy of a line it
@@ -34,18 +39,21 @@ impl CoherenceEngine {
         }
     }
 
-    /// Make room for and insert `line` into node `node_idx`'s AM.
+    /// Insert `line` into node `node_idx`'s AM set `set` (the line's),
+    /// displacing a victim if the set is full, and deal with the
+    /// victim's fallout. The AM replaces the victim and writes the line
+    /// in one pass; nothing below touches `node_idx`'s AM again.
     pub(super) fn fill_am(
         &mut self,
         node_idx: usize,
         line: LineNum,
+        set: usize,
         state: AmState,
         out: &mut Outcome,
     ) {
-        match self.nodes[node_idx].am.make_room(line) {
+        match self.nodes[node_idx].am.fill(set, line, state) {
             Victim::FreeSlot => {}
             Victim::DropShared(l) => {
-                self.nodes[node_idx].am.remove(l);
                 let keeps = self.displace_private(node_idx, l);
                 if !keeps {
                     self.dir.remove_sharer(l, NodeId(node_idx as u16));
@@ -54,19 +62,25 @@ impl CoherenceEngine {
                 out.dropped_shared = true;
             }
             Victim::Inject(l, _) => {
-                self.nodes[node_idx].am.remove(l);
                 let keeps = self.displace_private(node_idx, l);
-                self.inject(node_idx, l, keeps, out);
+                self.inject(node_idx, l, set, keeps, out);
             }
         }
-        self.nodes[node_idx].am.insert(line, state);
         out.am_filled = true;
     }
 
     /// Relocate a displaced responsible copy (the accept-based strategy).
+    /// `set` is the line's AM set — the same on every node.
     /// `from_keeps_slc` marks that the displacing node retains SLC-only
     /// replicas (non-inclusive hierarchies).
-    fn inject(&mut self, from: usize, line: LineNum, from_keeps_slc: bool, out: &mut Outcome) {
+    fn inject(
+        &mut self,
+        from: usize,
+        line: LineNum,
+        set: usize,
+        from_keeps_slc: bool,
+        out: &mut Outcome,
+    ) {
         // 1. Ownership migration: a Shared replica anywhere can simply
         //    take over responsibility — no data slot is consumed.
         if let Some(info) = self.dir.get(line) {
@@ -75,7 +89,7 @@ impl CoherenceEngine {
                 let new_owner = info.sharer_nodes().next().expect("sharers non-empty");
                 self.nodes[new_owner.as_usize()]
                     .am
-                    .set_state(line, AmState::Owner);
+                    .set_state(set, line, AmState::Owner);
                 self.dir.set_owner(line, new_owner);
                 if from_keeps_slc {
                     self.dir.add_sharer(line, NodeId(from as u16));
@@ -94,7 +108,7 @@ impl CoherenceEngine {
         let mut invalid_slot: Option<usize> = None;
         let mut shared_slot: Option<(usize, LineNum)> = None;
         for k in order {
-            match self.nodes[k].am.accept_slot(line, self.accept_policy) {
+            match self.nodes[k].am.accept_slot(set, line, self.accept_policy) {
                 Some(AcceptSlot::Invalid) if invalid_slot.is_none() => invalid_slot = Some(k),
                 Some(AcceptSlot::Shared(v)) if shared_slot.is_none() => shared_slot = Some((k, v)),
                 _ => {}
@@ -103,34 +117,35 @@ impl CoherenceEngine {
                 break;
             }
         }
+        let invalid = invalid_slot.map(|k| (k, AcceptSlot::Invalid));
+        let shared = shared_slot.map(|(k, v)| (k, AcceptSlot::Shared(v)));
         let choice = match self.accept_policy {
-            AcceptPolicy::InvalidThenShared | AcceptPolicy::FirstFit => invalid_slot
-                .map(|k| (k, None))
-                .or(shared_slot.map(|(k, v)| (k, Some(v)))),
-            AcceptPolicy::SharedThenInvalid => shared_slot
-                .map(|(k, v)| (k, Some(v)))
-                .or(invalid_slot.map(|k| (k, None))),
+            AcceptPolicy::InvalidThenShared | AcceptPolicy::FirstFit => invalid.or(shared),
+            AcceptPolicy::SharedThenInvalid => shared.or(invalid),
         };
 
         match choice {
-            Some((acceptor, sacrificed)) => {
-                if let Some(v) = sacrificed {
-                    self.nodes[acceptor].am.remove(v);
+            Some((acceptor, slot)) => {
+                if let AcceptSlot::Shared(v) = slot {
                     let keeps = self.displace_private(acceptor, v);
                     if !keeps {
                         self.dir.remove_sharer(v, NodeId(acceptor as u16));
                     }
                     self.emit(ProtocolEvent::SharedDrop);
                 }
-                // Sole AM copy at the acceptor; Owner if the displacing
-                // node retains SLC-only replicas, else Exclusive.
-                if from_keeps_slc {
-                    self.nodes[acceptor].am.insert(line, AmState::Owner);
-                    self.dir.set_owner(line, NodeId(acceptor as u16));
-                    self.dir.add_sharer(line, NodeId(from as u16));
+                // Sole AM copy at the acceptor, written over the
+                // sacrificed replica (if any) in one pass; Owner if the
+                // displacing node retains SLC-only replicas, else
+                // Exclusive.
+                let state = if from_keeps_slc {
+                    AmState::Owner
                 } else {
-                    self.nodes[acceptor].am.insert(line, AmState::Exclusive);
-                    self.dir.set_owner(line, NodeId(acceptor as u16));
+                    AmState::Exclusive
+                };
+                self.nodes[acceptor].am.accept(set, line, state, slot);
+                self.dir.set_owner(line, NodeId(acceptor as u16));
+                if from_keeps_slc {
+                    self.dir.add_sharer(line, NodeId(from as u16));
                 }
                 self.emit(ProtocolEvent::Injection);
                 out.injected_to = Some(NodeId(acceptor as u16));
@@ -138,10 +153,11 @@ impl CoherenceEngine {
             None => {
                 // Every slot machine-wide is responsible: OS page-out.
                 if from_keeps_slc {
-                    self.nodes[from].invalidate_private(line);
+                    let node = &mut self.nodes[from];
+                    let k = node.key(line);
+                    node.invalidate_private(k);
                 }
-                self.dir.remove(line);
-                self.paged_out.insert(line.0, ());
+                self.dir.page_out(line);
                 self.emit(ProtocolEvent::Pageout);
                 out.pageout = true;
             }

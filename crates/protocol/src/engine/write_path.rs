@@ -12,42 +12,59 @@ impl CoherenceEngine {
     pub(super) fn write_inner(&mut self, proc: ProcId, line: LineNum) -> Outcome {
         let n = self.node_of(proc);
         let pidx = self.pidx_of(proc);
+        let node = &mut self.nodes[n];
 
-        if self.nodes[n].flcs[pidx].write_hit(line) {
+        let flc_slot = node.flcs[pidx].slot_of(line);
+        if node.flcs[pidx].write_hit_at(flc_slot, line) {
             return Outcome::at(Level::Flc);
         }
-        if self.nodes[n].slcs[pidx].lookup(line) == SlcState::Modified {
-            self.nodes[n].flcs[pidx].fill(line, true);
+        let slc_set = node.slcs[pidx].set_of(line);
+        if node.slcs[pidx].lookup_in(slc_set, line) == SlcState::Modified {
+            node.flcs[pidx].fill_at(flc_slot, line, true);
             return Outcome::at(Level::Slc);
         }
+        let k = PrivateKey {
+            line,
+            slc_set,
+            flc_slot,
+        };
 
         // Ownership must be obtained: first silence the node-local peers.
-        self.nodes[n].invalidate_peers(line, pidx);
+        node.invalidate_peers(k, pidx);
 
-        let mut out = match self.nodes[n].am.touch(line) {
+        let set = node.am.set_of(line);
+        let mut out = match node.am.touch(set, line) {
             AmState::Exclusive => Outcome::at(Level::Am),
-            AmState::Owner | AmState::Shared => self.global_upgrade(n, line),
-            AmState::Invalid => self.global_read_exclusive(n, line),
+            AmState::Owner | AmState::Shared => self.global_upgrade(n, k, set),
+            AmState::Invalid => self.global_read_exclusive(n, k, set),
         };
-        self.fill_private_write(n, pidx, line, &mut out);
+        self.fill_private_write(n, pidx, k, &mut out);
         out
     }
 
     /// Fill SLC (Modified) + FLC after a write obtained ownership.
-    fn fill_private_write(&mut self, n: usize, pidx: usize, line: LineNum, out: &mut Outcome) {
-        if let Some((evicted, st)) = self.nodes[n].slc_fill(pidx, line, SlcState::Modified) {
+    fn fill_private_write(&mut self, n: usize, pidx: usize, k: PrivateKey, out: &mut Outcome) {
+        if let Some((evicted, st)) = self.nodes[n].slc_fill(pidx, k, SlcState::Modified) {
             if st == SlcState::Modified {
                 out.slc_writeback = true;
             }
             self.nodes[n].flcs[pidx].invalidate(evicted);
             self.retire_slc_only_sharer(n, evicted);
         }
-        self.nodes[n].flcs[pidx].fill(line, true);
+        self.nodes[n].flcs[pidx].fill_at(k.flc_slot, k.line, true);
+    }
+
+    /// Remove every copy of the line from node `s`: its AM entry and,
+    /// by inclusion, its private copies.
+    fn invalidate_node(&mut self, s: usize, k: PrivateKey, set: usize) {
+        self.nodes[s].am.remove(set, k.line);
+        self.nodes[s].invalidate_private(k);
     }
 
     /// Write upgrade: the node already holds the line (Owner or Shared);
     /// invalidate every other copy and end Exclusive.
-    fn global_upgrade(&mut self, n: usize, line: LineNum) -> Outcome {
+    fn global_upgrade(&mut self, n: usize, k: PrivateKey, set: usize) -> Outcome {
+        let line = k.line;
         let mut out = Outcome::at(Level::Remote);
         let info = self.dir.get(line).expect("valid AM line not in directory");
         // Ask the directory levels how far the invalidation must climb
@@ -61,18 +78,16 @@ impl CoherenceEngine {
         for sh in info.sharer_nodes() {
             let s = sh.as_usize();
             if s != n {
-                self.nodes[s].am.remove(line);
-                self.nodes[s].invalidate_private(line);
+                self.invalidate_node(s, k, set);
             }
         }
         let owner = info.owner.as_usize();
         if owner != n {
-            self.nodes[owner].am.remove(line);
-            self.nodes[owner].invalidate_private(line);
+            self.invalidate_node(owner, k, set);
         }
         self.dir.set_owner(line, NodeId(n as u16));
         self.dir.clear_sharers(line);
-        self.nodes[n].am.set_state(line, AmState::Exclusive);
+        self.nodes[n].am.set_state(set, line, AmState::Exclusive);
         out.upgrade = true;
         self.emit(ProtocolEvent::Upgrade);
         out
@@ -80,21 +95,19 @@ impl CoherenceEngine {
 
     /// Write miss: fetch the line with ownership (read-exclusive),
     /// invalidating every existing copy.
-    fn global_read_exclusive(&mut self, n: usize, line: LineNum) -> Outcome {
+    fn global_read_exclusive(&mut self, n: usize, k: PrivateKey, set: usize) -> Outcome {
+        let line = k.line;
         let mut out = Outcome::at(Level::Remote);
         match self.dir.get(line) {
             Some(info) => {
                 for sh in info.sharer_nodes() {
-                    let s = sh.as_usize();
-                    self.nodes[s].am.remove(line);
-                    self.nodes[s].invalidate_private(line);
+                    self.invalidate_node(sh.as_usize(), k, set);
                 }
                 let owner = info.owner.as_usize();
                 debug_assert_ne!(owner, n);
-                self.nodes[owner].am.remove(line);
-                self.nodes[owner].invalidate_private(line);
+                self.invalidate_node(owner, k, set);
                 self.dir.remove(line);
-                self.fill_am(n, line, AmState::Exclusive, &mut out);
+                self.fill_am(n, line, set, AmState::Exclusive, &mut out);
                 self.dir.insert_sole(line, NodeId(n as u16));
                 out.read_exclusive = true;
                 out.remote_node = Some(NodeId(owner as u16));
@@ -102,8 +115,8 @@ impl CoherenceEngine {
             }
             None => {
                 let home = self.home_of(line, n);
-                out.pagein = self.paged_out.remove(line.0).is_some();
-                self.fill_am(n, line, AmState::Exclusive, &mut out);
+                out.pagein = self.dir.take_paged_out(line);
+                self.fill_am(n, line, set, AmState::Exclusive, &mut out);
                 self.dir.insert_sole(line, NodeId(n as u16));
                 self.emit(ProtocolEvent::ColdAlloc);
                 if home == n {

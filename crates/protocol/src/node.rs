@@ -1,72 +1,43 @@
 //! Per-node state: the attraction memory plus the private cache
 //! hierarchies of the node's processors.
 //!
-//! The node also keeps a [`ResidencyFilter`] — an exact-counting,
-//! conservative summary of which lines are resident in *any* of the
-//! node's SLCs. The coherence engine consults it before probing the
-//! private caches on the remote paths (peer-SLC search, invalidation,
-//! downgrade): those probes almost always miss, and each one is a cold
-//! host-cache access into a per-processor slab. A zero count proves the
-//! line is in no SLC of the node — and, because the FLCs are strict
-//! subsets of their SLCs, in no FLC either — so the probe loop can be
-//! skipped without changing a single protocol transition. A non-zero
-//! count (real residency or a hash collision) falls through to the exact
-//! probes, so behaviour is byte-identical either way.
+//! The node also keeps, per line, an exact `u16` mask of which of its
+//! SLCs hold the line (bit `i` = processor `i` within the node; hence at
+//! most 16 processors per node, which `MachineConfig::validate` enforces).
+//! The coherence engine's private-cache loops — peer-SLC search,
+//! invalidation, downgrade — visit only the set bits: the usual remote
+//! case is a zero mask and no probe at all, and a non-zero mask names
+//! exactly the caches to touch. Because the FLCs are strict subsets of
+//! their SLCs, the same bits cover the FLCs. The mask lives in a dense
+//! line-indexed array, grown on demand, two bytes per line.
+//!
+//! Every processor's SLC has the same geometry, and so has every FLC, so
+//! a line's SLC set and FLC slot are computed once per access
+//! ([`PrivateKey`]) and reused in every private cache that is probed.
 
+use crate::table::DenseVec;
 use coma_cache::{AttractionMemory, Flc, Slc, SlcState, VictimPolicy};
-use coma_types::{LineNum, MachineGeometry};
+use coma_types::{LineNum, MachineGeometry, MAX_PROCS_PER_NODE};
 
-/// Knuth's multiplicative constant (2^64 / φ), as used by the protocol's
-/// open-addressing tables.
-const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Exact counting filter over a node's SLC-resident lines.
-///
-/// Every SLC membership change (fill, eviction, invalidation) adjusts the
-/// count of the line's hash slot, so `count == 0` is a proof of absence
-/// while `count > 0` is only a hint (collisions conflate lines). The
-/// filter never influences protocol decisions directly — it only gates
-/// whether the exact private-cache probes run at all.
-#[derive(Clone, Debug)]
-pub struct ResidencyFilter {
-    counts: Box<[u16]>,
-    /// Right-shift turning a 64-bit hash into a slot index.
-    shift: u32,
+/// A line together with the SLC set and FLC slot it maps to, valid in
+/// every private cache of the machine.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PrivateKey {
+    pub line: LineNum,
+    pub slc_set: usize,
+    pub flc_slot: usize,
 }
 
-impl ResidencyFilter {
-    fn new(lines_hint: usize) -> Self {
-        // 4× the maximum resident-line count keeps collision-induced
-        // false positives rare without outgrowing the host caches.
-        let cap = (lines_hint * 4).next_power_of_two().clamp(1024, 1 << 16);
-        ResidencyFilter {
-            counts: vec![0u16; cap].into_boxed_slice(),
-            shift: 64 - cap.trailing_zeros(),
-        }
-    }
-
-    #[inline]
-    fn slot(&self, line: LineNum) -> usize {
-        (line.0.wrapping_mul(FIB) >> self.shift) as usize
-    }
-
-    #[inline]
-    fn add(&mut self, line: LineNum) {
-        self.counts[self.slot(line)] += 1;
-    }
-
-    #[inline]
-    fn remove(&mut self, line: LineNum) {
-        let s = self.slot(line);
-        debug_assert!(self.counts[s] > 0, "filter underflow for {line:?}");
-        self.counts[s] -= 1;
-    }
-
-    /// Could `line` be resident in some SLC? `false` is exact.
-    #[inline]
-    pub fn may_hold(&self, line: LineNum) -> bool {
-        self.counts[self.slot(line)] != 0
-    }
+/// Iterate the set bits of a holder mask, lowest index first.
+#[inline]
+fn bits(mut mask: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
 }
 
 /// One cluster node (Figure 1 of the paper): `procs_per_node` processors,
@@ -75,8 +46,8 @@ impl ResidencyFilter {
 /// The `slcs`/`flcs` arrays stay public for read-only inspection
 /// (verification, invariant checks, statistics), but *membership*
 /// mutations of the SLCs must go through [`NodeState::slc_fill`] and the
-/// invalidation helpers below so the residency filter stays exact —
-/// [`NodeState::filter_consistent`] (run by the engine's invariant
+/// invalidation helpers below so the holder masks stay exact —
+/// [`NodeState::holders_consistent`] (run by the engine's invariant
 /// checker) catches any bypass.
 #[derive(Clone, Debug)]
 pub struct NodeState {
@@ -85,13 +56,16 @@ pub struct NodeState {
     pub slcs: Vec<Slc>,
     /// Private FLCs, same indexing.
     pub flcs: Vec<Flc>,
-    /// Conservative union-of-SLC-contents summary (see module docs).
-    filter: ResidencyFilter,
+    /// Per line: bit `i` set iff `slcs[i]` holds it (see module docs).
+    holders: DenseVec<u16>,
 }
 
 impl NodeState {
     pub fn new(geom: &MachineGeometry, victim_policy: VictimPolicy) -> Self {
-        let slc_lines = geom.slc_sets as usize * geom.slc_assoc * geom.procs_per_node;
+        assert!(
+            geom.procs_per_node <= MAX_PROCS_PER_NODE,
+            "holder masks cover at most {MAX_PROCS_PER_NODE} processors per node"
+        );
         NodeState {
             am: AttractionMemory::new(geom.am_sets, geom.am_assoc, victim_policy),
             slcs: (0..geom.procs_per_node)
@@ -100,141 +74,120 @@ impl NodeState {
             flcs: (0..geom.procs_per_node)
                 .map(|_| Flc::new(geom.flc_sets))
                 .collect(),
-            filter: ResidencyFilter::new(slc_lines),
+            holders: DenseVec::new(),
         }
     }
 
-    /// Insert `line` into processor `pidx`'s SLC, keeping the residency
-    /// filter exact. Same contract as [`Slc::insert`]: returns the
-    /// evicted `(line, state)` if the set was full.
+    /// `line`'s SLC set and FLC slot (two reductions; reuse the result).
+    #[inline]
+    pub fn key(&self, line: LineNum) -> PrivateKey {
+        PrivateKey {
+            line,
+            slc_set: self.slcs[0].set_of(line),
+            flc_slot: self.flcs[0].slot_of(line),
+        }
+    }
+
+    /// Which of this node's SLCs hold `line` (bit `i` = processor `i`).
+    #[inline]
+    pub fn holders(&self, line: LineNum) -> u16 {
+        self.holders.get(line.0)
+    }
+
+    /// Insert `line` into processor `pidx`'s SLC, keeping the holder
+    /// masks exact. Same contract as [`Slc::insert`]: returns the evicted
+    /// `(line, state)` if the set was full.
     pub fn slc_fill(
         &mut self,
         pidx: usize,
-        line: LineNum,
+        k: PrivateKey,
         state: SlcState,
     ) -> Option<(LineNum, SlcState)> {
-        let slc = &mut self.slcs[pidx];
-        let before = slc.len();
-        let evicted = slc.insert(line, state);
-        // Three cases: update-in-place (no membership change), fill of a
-        // free slot (line joins), evicting fill (line joins, victim
-        // leaves).
-        if evicted.is_some() || slc.len() > before {
-            self.filter.add(line);
-        }
+        let evicted = self.slcs[pidx].insert_in(k.slc_set, k.line, state);
+        let bit = 1u16 << pidx;
+        *self.holders.get_mut(k.line.0) |= bit;
         if let Some((victim, _)) = evicted {
-            self.filter.remove(victim);
+            *self.holders.get_mut(victim.0) &= !bit;
         }
         evicted
     }
 
-    /// Could any SLC of this node hold `line`? `false` is exact; `true`
-    /// may be a hash collision.
-    #[inline]
-    pub fn may_hold_private(&self, line: LineNum) -> bool {
-        self.filter.may_hold(line)
-    }
-
-    /// Does some SLC of this node actually hold `line` (valid state)?
+    /// Does some SLC of this node hold `line` (valid state)?
     #[inline]
     pub fn slc_holds(&self, line: LineNum) -> bool {
-        self.filter.may_hold(line) && self.slcs.iter().any(|s| s.peek(line).is_valid())
+        self.holders(line) != 0
     }
 
-    /// Enforce inclusion: the AM lost `line`, so every private cache in
+    /// Enforce inclusion: the AM lost the line, so every private cache in
     /// the node must drop it too.
-    pub fn invalidate_private(&mut self, line: LineNum) {
-        if !self.filter.may_hold(line) {
-            return; // no SLC holds it, hence (FLC ⊆ SLC) no FLC either
-        }
-        let NodeState {
-            slcs, flcs, filter, ..
-        } = self;
-        for slc in slcs.iter_mut() {
-            if slc.invalidate(line).is_valid() {
-                filter.remove(line);
-            }
-        }
-        for flc in flcs.iter_mut() {
-            flc.invalidate(line);
+    pub fn invalidate_private(&mut self, k: PrivateKey) {
+        let Some(mask) = self.holders.get_mut_existing(k.line.0) else {
+            return;
+        };
+        for i in bits(std::mem::take(mask)) {
+            self.slcs[i].invalidate_in(k.slc_set, k.line);
+            self.flcs[i].invalidate_at(k.flc_slot, k.line);
         }
     }
 
     /// Downgrade every private copy to read-only (a reader appeared
     /// elsewhere). Returns true if some SLC held the line Modified.
-    pub fn downgrade_private(&mut self, line: LineNum) -> bool {
-        if !self.filter.may_hold(line) {
-            return false;
-        }
+    pub fn downgrade_private(&mut self, k: PrivateKey) -> bool {
         let mut had_dirty = false;
-        for slc in &mut self.slcs {
-            had_dirty |= slc.downgrade(line);
-        }
-        for flc in &mut self.flcs {
-            flc.downgrade(line);
+        for i in bits(self.holders(k.line)) {
+            had_dirty |= self.slcs[i].downgrade_in(k.slc_set, k.line);
+            self.flcs[i].downgrade_at(k.flc_slot, k.line);
         }
         had_dirty
     }
 
-    /// Index of a peer SLC (≠ `except`) holding `line` Modified, if any.
-    pub fn dirty_peer(&self, line: LineNum, except: usize) -> Option<usize> {
-        if !self.filter.may_hold(line) {
-            return None;
-        }
-        self.slcs
-            .iter()
-            .enumerate()
-            .find(|(i, s)| *i != except && s.peek(line) == SlcState::Modified)
-            .map(|(i, _)| i)
+    /// Index of a peer SLC (≠ `except`) holding the line Modified, if any.
+    pub fn dirty_peer(&self, k: PrivateKey, except: usize) -> Option<usize> {
+        bits(self.holders(k.line) & !(1 << except))
+            .find(|&i| self.slcs[i].peek_in(k.slc_set, k.line) == SlcState::Modified)
     }
 
-    /// Invalidate `line` in every private cache except processor `except`
-    /// (intra-node write invalidation). Returns true if a dirty peer copy
-    /// was destroyed-by-upgrade (its data first merged via the AM).
-    pub fn invalidate_peers(&mut self, line: LineNum, except: usize) -> bool {
-        if !self.filter.may_hold(line) {
+    /// Invalidate the line in every private cache except processor
+    /// `except` (intra-node write invalidation). Returns true if a dirty
+    /// peer copy was destroyed-by-upgrade (its data first merged via the
+    /// AM).
+    pub fn invalidate_peers(&mut self, k: PrivateKey, except: usize) -> bool {
+        let Some(mask) = self.holders.get_mut_existing(k.line.0) else {
             return false;
-        }
+        };
+        let keep = *mask & (1 << except);
+        let peers = std::mem::replace(mask, keep) & !keep;
         let mut had_dirty = false;
-        let NodeState {
-            slcs, flcs, filter, ..
-        } = self;
-        for (i, slc) in slcs.iter_mut().enumerate() {
-            if i != except {
-                let prev = slc.invalidate(line);
-                if prev.is_valid() {
-                    filter.remove(line);
-                }
-                had_dirty |= prev == SlcState::Modified;
-            }
-        }
-        for (i, flc) in flcs.iter_mut().enumerate() {
-            if i != except {
-                flc.invalidate(line);
-            }
+        for i in bits(peers) {
+            had_dirty |= self.slcs[i].invalidate_in(k.slc_set, k.line) == SlcState::Modified;
+            self.flcs[i].invalidate_at(k.flc_slot, k.line);
         }
         had_dirty
     }
 
-    /// Verify the residency filter exactly matches the SLC contents
-    /// (invariant check: catches any mutation that bypassed the
-    /// filter-maintaining methods).
-    pub fn filter_consistent(&self) -> Result<(), String> {
-        let mut expect = vec![0u16; self.filter.counts.len()];
-        for slc in &self.slcs {
+    /// Verify the holder masks exactly match the SLC contents (invariant
+    /// check: catches any mutation that bypassed the mask-maintaining
+    /// methods).
+    pub fn holders_consistent(&self) -> Result<(), String> {
+        let mut expect = DenseVec::<u16>::new();
+        for (i, slc) in self.slcs.iter().enumerate() {
             for (line, _) in slc.lines() {
-                expect[self.filter.slot(line)] += 1;
+                *expect.get_mut(line.0) |= 1 << i;
             }
         }
-        if expect[..] != self.filter.counts[..] {
-            let bad = expect
-                .iter()
-                .zip(self.filter.counts.iter())
-                .position(|(e, g)| e != g)
-                .unwrap();
+        // Every line either side has ever covered.
+        let stale = self
+            .holders
+            .iter()
+            .chain(expect.iter())
+            .map(|(l, _)| l)
+            .find(|&l| self.holders.get(l) != expect.get(l));
+        if let Some(l) = stale {
             return Err(format!(
-                "SLC residency filter slot {bad} holds {} but SLC contents say {}",
-                self.filter.counts[bad], expect[bad]
+                "{:?}: SLC holder mask {:#b} but SLC contents say {:#b}",
+                LineNum(l),
+                self.holders.get(l),
+                expect.get(l)
             ));
         }
         Ok(())
@@ -252,6 +205,16 @@ mod tests {
         NodeState::new(&geom, VictimPolicy::SharedFirst)
     }
 
+    fn fill(
+        n: &mut NodeState,
+        pidx: usize,
+        line: u64,
+        st: SlcState,
+    ) -> Option<(LineNum, SlcState)> {
+        let k = n.key(LineNum(line));
+        n.slc_fill(pidx, k, st)
+    }
+
     #[test]
     fn construction_matches_geometry() {
         let n = node();
@@ -263,86 +226,93 @@ mod tests {
     #[test]
     fn invalidate_private_clears_all_levels() {
         let mut n = node();
-        n.slc_fill(1, LineNum(5), SlcState::Shared);
+        fill(&mut n, 1, 5, SlcState::Shared);
         n.flcs[1].fill(LineNum(5), false);
-        n.invalidate_private(LineNum(5));
+        n.invalidate_private(n.key(LineNum(5)));
         assert_eq!(n.slcs[1].peek(LineNum(5)), SlcState::Invalid);
         assert!(!n.flcs[1].read_hit(LineNum(5)));
-        n.filter_consistent().unwrap();
+        n.holders_consistent().unwrap();
     }
 
     #[test]
     fn dirty_peer_found_and_excluded() {
         let mut n = node();
-        n.slc_fill(2, LineNum(9), SlcState::Modified);
-        assert_eq!(n.dirty_peer(LineNum(9), 0), Some(2));
-        assert_eq!(n.dirty_peer(LineNum(9), 2), None);
+        fill(&mut n, 2, 9, SlcState::Modified);
+        let k = n.key(LineNum(9));
+        assert_eq!(n.dirty_peer(k, 0), Some(2));
+        assert_eq!(n.dirty_peer(k, 2), None);
     }
 
     #[test]
     fn downgrade_reports_dirty() {
         let mut n = node();
-        n.slc_fill(0, LineNum(3), SlcState::Modified);
-        n.slc_fill(1, LineNum(3), SlcState::Shared);
-        assert!(n.downgrade_private(LineNum(3)));
+        fill(&mut n, 0, 3, SlcState::Modified);
+        fill(&mut n, 1, 3, SlcState::Shared);
+        let k = n.key(LineNum(3));
+        assert!(n.downgrade_private(k));
         assert_eq!(n.slcs[0].peek(LineNum(3)), SlcState::Shared);
-        assert!(!n.downgrade_private(LineNum(3)));
-        n.filter_consistent().unwrap();
+        assert!(!n.downgrade_private(k));
+        n.holders_consistent().unwrap();
     }
 
     #[test]
     fn invalidate_peers_spares_writer() {
         let mut n = node();
-        n.slc_fill(0, LineNum(4), SlcState::Shared);
-        n.slc_fill(1, LineNum(4), SlcState::Shared);
-        let dirty = n.invalidate_peers(LineNum(4), 0);
+        fill(&mut n, 0, 4, SlcState::Shared);
+        fill(&mut n, 1, 4, SlcState::Shared);
+        let dirty = n.invalidate_peers(n.key(LineNum(4)), 0);
         assert!(!dirty);
         assert_eq!(n.slcs[0].peek(LineNum(4)), SlcState::Shared);
         assert_eq!(n.slcs[1].peek(LineNum(4)), SlcState::Invalid);
-        n.filter_consistent().unwrap();
+        assert_eq!(n.holders(LineNum(4)), 0b1);
+        n.holders_consistent().unwrap();
     }
 
     #[test]
-    fn filter_tracks_fill_update_and_eviction() {
+    fn holder_mask_tracks_fill_update_and_eviction() {
         let mut n = node();
-        // Fresh fill: filter sees the line.
-        assert!(n.slc_fill(0, LineNum(10), SlcState::Shared).is_none());
-        assert!(n.may_hold_private(LineNum(10)));
-        // Update in place: count unchanged (still consistent).
-        assert!(n.slc_fill(0, LineNum(10), SlcState::Modified).is_none());
-        n.filter_consistent().unwrap();
-        // Fill the set until line 10's set evicts it; whatever is evicted
-        // must leave the filter.
-        let assoc = n.slcs[0].len(); // currently 1
-        assert_eq!(assoc, 1);
-        let mut evicted = Vec::new();
-        for k in 1..100_000u64 {
-            if let Some((l, _)) = n.slc_fill(0, LineNum(k), SlcState::Shared) {
-                evicted.push(l);
-                break;
+        // Fresh fill: the filling processor's bit appears.
+        assert!(fill(&mut n, 0, 10, SlcState::Shared).is_none());
+        assert_eq!(n.holders(LineNum(10)), 0b1);
+        // A second processor joins; an update in place changes nothing.
+        assert!(fill(&mut n, 3, 10, SlcState::Shared).is_none());
+        assert!(fill(&mut n, 0, 10, SlcState::Modified).is_none());
+        assert_eq!(n.holders(LineNum(10)), 0b1001);
+        n.holders_consistent().unwrap();
+        // Fill processor 0's set until line 10 is evicted: only bit 0
+        // leaves, and the evicting line's bit is set.
+        let mut evicting = None;
+        for k in 11..100_000u64 {
+            if let Some((l, _)) = fill(&mut n, 0, k, SlcState::Shared) {
+                if l == LineNum(10) {
+                    evicting = Some(k);
+                    break;
+                }
             }
         }
-        assert!(!evicted.is_empty(), "no eviction after 100k fills");
-        n.filter_consistent().unwrap();
+        let k = evicting.expect("line 10 never evicted after 100k fills");
+        assert_eq!(n.holders(LineNum(10)), 0b1000);
+        assert_eq!(n.holders(LineNum(k)), 0b1);
+        n.holders_consistent().unwrap();
     }
 
     #[test]
     fn zero_count_is_exact_absence() {
         let mut n = node();
-        n.slc_fill(3, LineNum(77), SlcState::Shared);
-        n.invalidate_private(LineNum(77));
+        fill(&mut n, 3, 77, SlcState::Shared);
+        n.invalidate_private(n.key(LineNum(77)));
         assert!(!n.slc_holds(LineNum(77)));
-        n.filter_consistent().unwrap();
-        // slc_holds on a never-seen line must not probe wrongly either.
+        n.holders_consistent().unwrap();
+        // A never-seen line, beyond the mask array, holds nothing.
         assert!(!n.slc_holds(LineNum(123_456)));
     }
 
     #[test]
-    fn filter_consistency_catches_bypass() {
+    fn holder_consistency_catches_bypass() {
         let mut n = node();
         // Mutating the SLC directly (bypassing slc_fill) desynchronizes
-        // the filter, and the checker must say so.
+        // the holder masks, and the checker must say so.
         n.slcs[0].insert(LineNum(42), SlcState::Shared);
-        assert!(n.filter_consistent().is_err());
+        assert!(n.holders_consistent().is_err());
     }
 }

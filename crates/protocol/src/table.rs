@@ -1,20 +1,21 @@
 //! Flat hot-path containers for the coherence engines.
 //!
-//! Every simulated miss probes the line directory, the page table and the
-//! paged-out set; with `std::collections::HashMap` each probe pays SipHash
-//! or (with a custom hasher) still a bucket indirection per access. The
-//! two structures here are built for the access pattern the simulator
-//! actually has:
+//! The COMA engine's per-line state — the line directory, its presence
+//! masks and paged-out marks, and each node's SLC holder masks — lives in
+//! dense arrays, and so does the page table: the paper allocates pages
+//! *consecutively* on demand (§3), so page and line numbers are dense
+//! from zero and a map keyed by them degenerates into a plain array.
+//! Hashing is left to the keys that are genuinely sparse.
 //!
+//! * [`DenseVec`] — a grow-on-demand array indexed by line or page
+//!   number; a lookup is a bounds check and a load.
+//! * [`PageHomes`] — the first-touch page table, a [`DenseVec`].
 //! * [`OpenTable`] — open addressing with linear probing over one flat
 //!   slot array, power-of-two capacity, a Fibonacci-multiply hash of the
 //!   already well-distributed `u64` keys, and backward-shift deletion (no
-//!   tombstones, so load never rots). A lookup is one multiply, one shift
-//!   and a short contiguous scan.
-//! * [`PageHomes`] — the first-touch page table. The paper allocates
-//!   pages *consecutively* on demand (§3), so page numbers are dense from
-//!   zero and the map degenerates into a plain array indexed by page
-//!   number; hashing it at all is wasted work.
+//!   tombstones, so load never rots). It holds the COMA directory's
+//!   spilled sharer sets (lines with more than four sharers, rare) and
+//!   the baseline engines' directory.
 
 use coma_types::NodeId;
 
@@ -247,14 +248,72 @@ impl<V: Copy + Default> OpenTable<V> {
     }
 }
 
-/// The first-touch page table: page number → home node, as a flat array.
+/// A dense array indexed by line (or page) number that grows on demand:
+/// indices never written read as `T::default()`. This is the right map
+/// whenever keys are allocated consecutively from zero — which the paper
+/// guarantees for pages (§3) and therefore for lines — because a lookup
+/// is then one bounds check and one load, with no hashing and no probe
+/// chain. Memory is `size_of::<T>()` per index up to the largest index
+/// written, so a sparse key space would waste it.
 #[derive(Clone, Debug, Default)]
-pub struct PageHomes {
-    /// Home node per page; `u16::MAX` marks an untouched page.
-    homes: Vec<u16>,
+pub struct DenseVec<T> {
+    items: Vec<T>,
 }
 
-const UNTOUCHED: u16 = u16::MAX;
+impl<T: Copy + Default> DenseVec<T> {
+    pub fn new() -> Self {
+        DenseVec { items: Vec::new() }
+    }
+
+    /// The value at `i` (the default if never written).
+    #[inline]
+    pub fn get(&self, i: u64) -> T {
+        self.items.get(i as usize).copied().unwrap_or_default()
+    }
+
+    /// Mutable slot `i`, growing the array first if
+    /// it does not reach that far yet.
+    #[inline]
+    pub fn get_mut(&mut self, i: u64) -> &mut T {
+        let i = i as usize;
+        if i >= self.items.len() {
+            self.grow(i);
+        }
+        &mut self.items[i]
+    }
+
+    /// Mutable slot `i` only if the array already reaches it — for
+    /// updates that have nothing to do on a default entry.
+    #[inline]
+    pub fn get_mut_existing(&mut self, i: u64) -> Option<&mut T> {
+        self.items.get_mut(i as usize)
+    }
+
+    /// Extend the array to cover index `i`, rounded up to a whole 4 KiB
+    /// of elements. Only the covered length is ever written, so resident
+    /// memory tracks the highest index touched; the `Vec`'s own capacity
+    /// doubling keeps the reallocation cost amortized.
+    #[cold]
+    fn grow(&mut self, i: usize) {
+        let chunk = (4096 / std::mem::size_of::<T>().max(1)).max(1);
+        self.items
+            .resize((i + 1).next_multiple_of(chunk), T::default());
+    }
+
+    /// Every index the array reaches, with its value, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, T)> + '_ {
+        self.items.iter().enumerate().map(|(i, &v)| (i as u64, v))
+    }
+}
+
+/// The first-touch page table: page number → home node, as a flat array.
+/// The paper allocates pages *consecutively* on demand (§3), so page
+/// numbers are dense from zero.
+#[derive(Clone, Debug, Default)]
+pub struct PageHomes {
+    /// Home node + 1 per page; `0` marks an untouched page.
+    homes: DenseVec<u16>,
+}
 
 impl PageHomes {
     pub fn new() -> Self {
@@ -264,22 +323,16 @@ impl PageHomes {
     /// Home node of `page`, allocating it to `toucher` on first touch.
     #[inline]
     pub fn home_of(&mut self, page: u64, toucher: NodeId) -> NodeId {
-        let p = page as usize;
-        if p >= self.homes.len() {
-            // Amortized growth; pages are touched roughly consecutively.
-            self.homes
-                .resize((p + 1).max(self.homes.len() * 2), UNTOUCHED);
+        let h = self.homes.get_mut(page);
+        if *h == 0 {
+            *h = toucher.0 + 1;
         }
-        let h = &mut self.homes[p];
-        if *h == UNTOUCHED {
-            *h = toucher.0;
-        }
-        NodeId(*h)
+        NodeId(*h - 1)
     }
 
     /// Number of allocated pages.
     pub fn allocated(&self) -> usize {
-        self.homes.iter().filter(|&&h| h != UNTOUCHED).count()
+        self.homes.iter().filter(|&(_, h)| h != 0).count()
     }
 }
 

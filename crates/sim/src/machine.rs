@@ -17,7 +17,10 @@ use coma_stats::{AccessCounts, ExecBreakdown, Level, SimReport};
 use coma_timing::{
     EventQueue, HierarchicalFabric, IdealInterconnect, Interconnect, WriteBufferArray,
 };
-use coma_types::{Addr, ConfigError, LatencyConfig, MachineConfig, MachineGeometry, Nanos, ProcId};
+use coma_types::{
+    Addr, ConfigError, LatencyConfig, LineNum, MachineConfig, MachineGeometry, Nanos, ProcId,
+    MAX_LINE,
+};
 use coma_workloads::{FlatKind, OpArena, Workload};
 
 /// Which memory architecture the machine implements.
@@ -264,9 +267,14 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Assemble a machine for `workload` under `params`.
+    /// Assemble a machine for `workload` under `params`. Fails on an
+    /// invalid machine configuration, or on a workload whose data or
+    /// sync lines reach beyond [`MAX_LINE`].
     pub fn new(workload: Workload, params: &SimParams) -> Result<Self, ConfigError> {
         let geom = params.machine.geometry(workload.ws_bytes)?;
+        // The sync lines sit just above the data working set, so this
+        // also bounds the working set before anything is allocated.
+        check_line(workload.barrier_flag_addr().line())?;
         let mem = match params.memory_model {
             MemoryModel::Coma => {
                 let mut e = CoherenceEngine::with_inclusion(
@@ -282,7 +290,9 @@ impl Simulation {
             MemoryModel::Numa => Engine::Baseline(BaselineEngine::new(geom, BaselineKind::Numa)),
             MemoryModel::Uma => Engine::Baseline(BaselineEngine::new(geom, BaselineKind::Uma)),
         };
-        Ok(Self::assemble(workload, params, mem))
+        let sim = Self::assemble(workload, params, mem);
+        check_line(sim.ops.max_line())?;
+        Ok(sim)
     }
 
     /// Assemble a machine around an externally constructed memory
@@ -612,6 +622,17 @@ impl Simulation {
     }
 }
 
+/// A workload may touch no line the simulator's tables cannot hold.
+fn check_line(line: LineNum) -> Result<(), ConfigError> {
+    if line.0 > MAX_LINE {
+        return Err(ConfigError::LineOutOfRange {
+            line: line.0,
+            max: MAX_LINE,
+        });
+    }
+    Ok(())
+}
+
 /// Build and run in one call (panics on an invalid configuration; use
 /// [`Simulation::new`] to handle configuration errors explicitly).
 pub fn run_simulation(workload: Workload, params: &SimParams) -> SimReport {
@@ -623,14 +644,63 @@ pub fn run_simulation(workload: Workload, params: &SimParams) -> SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coma_types::MemoryPressure;
-    use coma_workloads::{AppId, Scale};
+    use coma_types::{MemoryPressure, LINE_SHIFT};
+    use coma_workloads::{AppId, Op, OpStream, Scale};
 
     fn params(ppn: usize, mp: MemoryPressure) -> SimParams {
         let mut p = SimParams::default();
         p.machine.procs_per_node = ppn;
         p.machine.memory_pressure = mp;
         p
+    }
+
+    /// A 16-processor workload whose processor 0 reads `addr` once.
+    fn one_read_at(addr: u64, ws_bytes: u64) -> Workload {
+        struct One(Option<Op>);
+        impl OpStream for One {
+            fn next_op(&mut self) -> Option<Op> {
+                self.0.take()
+            }
+        }
+        Workload {
+            name: "one read",
+            ws_bytes,
+            n_locks: 0,
+            streams: (0..16)
+                .map(|p| Box::new(One((p == 0).then_some(Op::Read(Addr(addr))))) as _)
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn line_beyond_the_key_range_is_a_config_error() {
+        let p = params(1, MemoryPressure::MP_50);
+        let top = MAX_LINE << LINE_SHIFT;
+        assert!(Simulation::new(one_read_at(top, 1 << 20), &p).is_ok());
+        let past = (MAX_LINE + 1) << LINE_SHIFT;
+        assert_eq!(
+            Simulation::new(one_read_at(past, 1 << 20), &p).err(),
+            Some(ConfigError::LineOutOfRange {
+                line: MAX_LINE + 1,
+                max: MAX_LINE
+            })
+        );
+        // The sync lines above a huge working set count too.
+        assert!(matches!(
+            Simulation::new(one_read_at(0, MAX_LINE << LINE_SHIFT), &p),
+            Err(ConfigError::LineOutOfRange { .. })
+        ));
+    }
+
+    #[test]
+    fn more_than_sixteen_procs_per_node_is_a_config_error() {
+        let mut p = params(32, MemoryPressure::MP_50);
+        p.machine.n_procs = 32;
+        let wl = AppId::Fft.build(32, 1, Scale::SMOKE);
+        assert!(matches!(
+            Simulation::new(wl, &p),
+            Err(ConfigError::TooManyProcsPerNode { .. })
+        ));
     }
 
     #[test]

@@ -17,6 +17,12 @@ pub const LINE_SHIFT: u32 = 6;
 pub const PAGE_BYTES: u64 = 4096;
 /// log2 of [`PAGE_BYTES`].
 pub const PAGE_SHIFT: u32 = 12;
+/// Largest line number the simulator can hold. The cache arrays store a
+/// resident line as `line + 1` in a `u32`, and the per-line tables are
+/// indexed by line, so a workload must stay below `2^32 - 1` lines
+/// (256 GiB of address space); `Simulation::new` and trace replay reject
+/// anything beyond with an error.
+pub const MAX_LINE: u64 = u32::MAX as u64 - 1;
 
 /// A byte address within the simulated application address space.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]

@@ -67,6 +67,11 @@ impl Default for MachineConfig {
     }
 }
 
+/// Largest clustering degree: a node records which of its processors'
+/// SLCs hold a line in a `u16` mask. The paper and every experiment use
+/// 1, 2 or 4.
+pub const MAX_PROCS_PER_NODE: usize = u16::BITS as usize;
+
 /// Errors produced by [`MachineConfig::validate`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
@@ -84,6 +89,8 @@ pub enum ConfigError {
         n_procs: usize,
         procs_per_node: usize,
     },
+    /// More processors per node than a node's SLC holder mask covers.
+    TooManyProcsPerNode { procs_per_node: usize, max: usize },
     /// More nodes than the sharer sets can represent.
     TooManyNodes { n_nodes: usize, max: usize },
     /// More cluster groups than a directory presence mask can represent.
@@ -99,6 +106,8 @@ pub enum ConfigError {
         family: &'static str,
         what: &'static str,
     },
+    /// The workload touches a line beyond [`crate::MAX_LINE`].
+    LineOutOfRange { line: u64, max: u64 },
 }
 
 impl fmt::Display for ConfigError {
@@ -116,6 +125,13 @@ impl fmt::Display for ConfigError {
             ConfigError::ProcsPerNodeExceedsProcs { n_procs, procs_per_node } => write!(
                 f,
                 "procs_per_node ({procs_per_node}) exceeds n_procs ({n_procs})"
+            ),
+            ConfigError::TooManyProcsPerNode {
+                procs_per_node,
+                max,
+            } => write!(
+                f,
+                "procs_per_node ({procs_per_node}) exceeds the SLC holder-mask capacity of {max}"
             ),
             ConfigError::TooManyNodes { n_nodes, max } => {
                 write!(f, "{n_nodes} nodes exceed the sharer-set capacity of {max}")
@@ -135,6 +151,10 @@ impl fmt::Display for ConfigError {
             ConfigError::EmptyWorkload { family, what } => {
                 write!(f, "{family}: {what} must be non-zero")
             }
+            ConfigError::LineOutOfRange { line, max } => write!(
+                f,
+                "workload touches line {line:#x}, beyond the largest simulable line {max:#x}"
+            ),
         }
     }
 }
@@ -185,6 +205,12 @@ impl MachineConfig {
             return Err(ConfigError::ProcsNotDivisible {
                 n_procs: self.n_procs,
                 procs_per_node: self.procs_per_node,
+            });
+        }
+        if self.procs_per_node > MAX_PROCS_PER_NODE {
+            return Err(ConfigError::TooManyProcsPerNode {
+                procs_per_node: self.procs_per_node,
+                max: MAX_PROCS_PER_NODE,
             });
         }
         let n_nodes = self.n_nodes();
@@ -564,6 +590,28 @@ mod tests {
                 procs_per_node: 16,
             })
         );
+    }
+
+    #[test]
+    fn too_many_procs_per_node_rejected() {
+        let c = MachineConfig {
+            n_procs: 32,
+            procs_per_node: 32,
+            ..Default::default()
+        };
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::TooManyProcsPerNode {
+                procs_per_node: 32,
+                max: 16,
+            })
+        );
+        let sixteen = MachineConfig {
+            n_procs: 32,
+            procs_per_node: 16,
+            ..Default::default()
+        };
+        assert_eq!(sixteen.validate(), Ok(()));
     }
 
     #[test]

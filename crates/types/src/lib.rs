@@ -22,8 +22,8 @@ pub mod rng;
 pub mod time;
 pub mod topology;
 
-pub use addr::{Addr, LineNum, LINE_BYTES, LINE_SHIFT, PAGE_BYTES, PAGE_SHIFT};
-pub use config::{ConfigError, LatencyConfig, MachineConfig, MachineGeometry};
+pub use addr::{Addr, LineNum, LINE_BYTES, LINE_SHIFT, MAX_LINE, PAGE_BYTES, PAGE_SHIFT};
+pub use config::{ConfigError, LatencyConfig, MachineConfig, MachineGeometry, MAX_PROCS_PER_NODE};
 pub use fastmod::FastMod;
 pub use ids::{NodeId, ProcId};
 pub use nodeset::NodeSet;

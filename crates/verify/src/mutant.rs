@@ -9,7 +9,7 @@
 //! *and* the live auditor each catch every mutation.
 
 use crate::ProtocolModel;
-use coma_cache::{AmState, Victim};
+use coma_cache::AmState;
 use coma_protocol::{CoherenceEngine, Outcome};
 use coma_types::{LineNum, NodeId, NodeSet, ProcId};
 
@@ -66,10 +66,9 @@ impl MutantEngine {
                 // re-insert when the set has room — a lost invalidation
                 // cannot displace anything.
                 let am = &mut self.inner.node_mut(victim as usize).am;
-                if am.state(line) == AmState::Invalid
-                    && matches!(am.make_room(line), Victim::FreeSlot)
-                {
-                    am.insert(line, AmState::Shared);
+                let set = am.set_of(line);
+                if am.state(line) == AmState::Invalid && am.has_free_slot(set) {
+                    am.fill(set, line, AmState::Shared);
                 }
             }
             Mutation::ForgetDirectoryUpdate => {

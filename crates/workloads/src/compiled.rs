@@ -29,7 +29,7 @@
 
 use crate::op::{Op, OpStream};
 use coma_types::time::instr_time;
-use coma_types::{Addr, Nanos};
+use coma_types::{Addr, LineNum, Nanos};
 
 /// Operation kind of a [`FlatOp`] record (top nibble of the packed word).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -129,6 +129,9 @@ impl FlatOp {
 pub struct OpArena {
     records: Vec<FlatOp>,
     spans: Vec<u32>,
+    /// Largest Read/Write address compiled so far (0 if none), tracked
+    /// as records are emitted (no second pass over the arena).
+    max_addr: u64,
 }
 
 impl OpArena {
@@ -136,6 +139,7 @@ impl OpArena {
         OpArena {
             records: Vec::new(),
             spans: vec![0],
+            max_addr: 0,
         }
     }
 
@@ -154,16 +158,25 @@ impl OpArena {
     /// simulation loop.
     pub fn push_stream(&mut self, stream: &mut dyn OpStream) {
         let mut pending_gap: Nanos = 0;
+        // Kept in a local (a register) and folded in once per stream.
+        let mut max_addr = self.max_addr;
         while let Some(op) = stream.next_op() {
             match op {
                 Op::Compute(n) => pending_gap += instr_time(n as u64),
-                Op::Read(a) => self.emit(FlatKind::Read, &mut pending_gap, a.0),
-                Op::Write(a) => self.emit(FlatKind::Write, &mut pending_gap, a.0),
+                Op::Read(a) => {
+                    max_addr = max_addr.max(a.0);
+                    self.emit(FlatKind::Read, &mut pending_gap, a.0)
+                }
+                Op::Write(a) => {
+                    max_addr = max_addr.max(a.0);
+                    self.emit(FlatKind::Write, &mut pending_gap, a.0)
+                }
                 Op::Lock(id) => self.emit(FlatKind::Lock, &mut pending_gap, id as u64),
                 Op::Unlock(id) => self.emit(FlatKind::Unlock, &mut pending_gap, id as u64),
                 Op::Barrier(id) => self.emit(FlatKind::Barrier, &mut pending_gap, id as u64),
             }
         }
+        self.max_addr = max_addr;
         // A trailing compute run has no op to attach to; it still delays
         // the processor's finish time, so it must survive compilation.
         self.spill_gap(&mut pending_gap, 0);
@@ -185,6 +198,12 @@ impl OpArena {
         self.spill_gap(pending_gap, MAX_INLINE_GAP_NS);
         let gap = std::mem::take(pending_gap);
         self.records.push(FlatOp::new(kind, gap, payload));
+    }
+
+    /// The highest line any compiled Read or Write touches (line 0 if
+    /// there are no memory references).
+    pub fn max_line(&self) -> LineNum {
+        Addr(self.max_addr).line()
     }
 
     /// Number of compiled streams (processors).
@@ -332,5 +351,20 @@ mod tests {
         assert_eq!(a.n_streams(), 2);
         assert_eq!(a.get(0).kind(), FlatKind::Read);
         assert_eq!(a.get(1).kind(), FlatKind::Write);
+    }
+
+    #[test]
+    fn max_line_tracks_references_only() {
+        assert_eq!(
+            compile_ops(vec![Op::Compute(5), Op::Lock(9)]).max_line(),
+            LineNum(0)
+        );
+        let a = compile_ops(vec![
+            Op::Read(Addr(64 * 7 + 3)),
+            Op::Barrier(1 << 30),
+            Op::Write(Addr(64 * 900)),
+            Op::Read(Addr(64)),
+        ]);
+        assert_eq!(a.max_line(), LineNum(900));
     }
 }

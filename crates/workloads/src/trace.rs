@@ -21,7 +21,7 @@
 
 use crate::op::{Op, OpStream};
 use crate::workload::Workload;
-use coma_types::Addr;
+use coma_types::{Addr, MAX_LINE};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 
 const MAGIC: &[u8; 8] = b"COMATRC1";
@@ -179,6 +179,14 @@ pub fn replay<R: Read>(r: R) -> io::Result<Workload> {
                             "negative address in trace",
                         ));
                     }
+                    if Addr(addr as u64).line().0 > MAX_LINE {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!(
+                                "address {addr:#x} in trace is beyond the largest simulable line {MAX_LINE:#x}"
+                            ),
+                        ));
+                    }
                     if code[0] == 1 {
                         Op::Read(Addr(addr as u64))
                     } else {
@@ -316,6 +324,28 @@ mod tests {
     fn zigzag_roundtrip() {
         for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
             assert_eq!(unzigzag(zigzag(v)), v);
+        }
+    }
+
+    /// A hand-built single-processor trace holding one Read of `addr`.
+    fn one_read_trace(addr: u64) -> Vec<u8> {
+        let mut t = MAGIC.to_vec();
+        t.extend_from_slice(&1u32.to_le_bytes()); // n_procs
+        t.extend_from_slice(&(1u64 << 20).to_le_bytes()); // ws_bytes
+        t.extend_from_slice(&0u32.to_le_bytes()); // n_locks
+        t.extend_from_slice(&1u64.to_le_bytes()); // op count
+        t.push(1); // Read
+        write_varint(&mut t, zigzag(addr as i64)).unwrap();
+        t
+    }
+
+    #[test]
+    fn replay_rejects_lines_beyond_the_key_range() {
+        let top = MAX_LINE << coma_types::LINE_SHIFT;
+        assert!(replay(&one_read_trace(top + 63)[..]).is_ok());
+        for addr in [top + 64, 1u64 << 40, 1 << 62] {
+            let err = replay(&one_read_trace(addr)[..]).err().expect("accepted");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "addr {addr:#x}");
         }
     }
 }
