@@ -106,6 +106,13 @@ pub enum ConfigError {
         family: &'static str,
         what: &'static str,
     },
+    /// A workload generator parameter lies outside its domain (a negative
+    /// or non-finite exponent, a fraction outside [0, 1], …).
+    WorkloadParameterOutOfRange {
+        family: &'static str,
+        what: &'static str,
+        domain: &'static str,
+    },
     /// The workload touches a line beyond [`crate::MAX_LINE`].
     LineOutOfRange { line: u64, max: u64 },
 }
@@ -151,6 +158,11 @@ impl fmt::Display for ConfigError {
             ConfigError::EmptyWorkload { family, what } => {
                 write!(f, "{family}: {what} must be non-zero")
             }
+            ConfigError::WorkloadParameterOutOfRange {
+                family,
+                what,
+                domain,
+            } => write!(f, "{family}: {what} must be {domain}"),
             ConfigError::LineOutOfRange { line, max } => write!(
                 f,
                 "workload touches line {line:#x}, beyond the largest simulable line {max:#x}"

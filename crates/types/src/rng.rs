@@ -77,56 +77,164 @@ impl Rng64 {
     }
 }
 
-/// Zipf-distributed sampler over `0..n` with exponent `s`, built once and
-/// sampled in O(log n) via binary search on the precomputed CDF.
+/// Zipf-distributed sampler over `0..n` with exponent `s`, built once
+/// per workload and shared by all its processors.
+///
+/// A draw inverts the Zipf CDF at a uniform variate in expected O(1):
+/// one guide-table load plus a short forward scan over integer
+/// thresholds. For every variate it returns the first CDF entry at least
+/// [`Rng64::f64_unit`]'s `u`, exactly, because that `u` is a 53-bit
+/// integer `m` scaled by 2⁻⁵³ ([`ZipfSampler::index`] has the argument).
+/// Where the `f64` CDF is strictly increasing (every catalog workload's
+/// is), that is also the index a binary search of it returns.
 ///
 /// Workload models use this for hot-spot access patterns (e.g. upper
 /// octree levels in Barnes, popular scene objects in Raytrace), where a
 /// small set of lines is touched far more often than the tail.
 #[derive(Clone, Debug)]
 pub struct ZipfSampler {
-    cdf: Vec<f64>,
+    /// One block of exactly `8n` bytes: the `n` packed thresholds, one
+    /// pad byte, the guide table, then zeros.
+    ///
+    /// * Threshold `i` (bytes `[7i, 7i + 7)`, little-endian) is
+    ///   `⌊cdf[i] · 2⁵³⌋` for `i < n − 1`, and [`THRESHOLD_MASK`] (above
+    ///   every variate) for `i = n − 1`. A threshold is at most 2⁵³, so 7
+    ///   bytes hold it; the pad byte lets the last one load as a `u64`.
+    /// * Guide entry `b` (a little-endian `u32` at `7n + 1 + 4b`, for
+    ///   `b < g = ⌊(n − 1) / 4⌋`) is the first index whose threshold
+    ///   reaches bucket `b`, where variate `m` falls in bucket
+    ///   `⌊m · g / 2⁵³⌋`. The answer for any `m` in bucket `b` is at least
+    ///   that entry. With `g = 0` (`n < 5`) every scan starts at 0.
+    ///
+    /// `8n` bytes is the `f64` CDF the block is built in and replaces, so
+    /// building needs no second allocation and no copy.
+    table: Box<[u8]>,
 }
 
+/// Bytes per packed threshold.
+const THRESHOLD_BYTES: usize = 7;
+/// Low 56 bits: one packed threshold, and the last index's sentinel.
+const THRESHOLD_MASK: u64 = (1 << 56) - 1;
+/// Bits of the uniform variate a draw consumes ([`Rng64::f64_unit`]'s).
+const VARIATE_BITS: u32 = 53;
+
 impl ZipfSampler {
-    /// Build a sampler over `0..n` (n ≥ 1) with exponent `s ≥ 0`.
-    /// `s = 0` degenerates to the uniform distribution.
+    /// Build a sampler over `0..n` (1 ≤ n ≤ 2³²) with exponent `s ≥ 0`.
+    /// `s = 0` degenerates to the uniform distribution. It holds `8n`
+    /// bytes, the size of the `f64` CDF it is tabulated from.
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n >= 1, "ZipfSampler needs at least one element");
+        assert!(n <= 1 << 32, "ZipfSampler indices are u32");
         assert!(s >= 0.0 && s.is_finite());
-        let mut cdf = Vec::with_capacity(n);
+        // The unnormalized CDF is accumulated as f64s in the block the
+        // thresholds are then packed into, front to back.
+        let mut table = vec![0u8; 8 * n];
         let mut acc = 0.0f64;
         for k in 1..=n {
             acc += (k as f64).powf(-s);
-            cdf.push(acc);
+            table[8 * (k - 1)..8 * k].copy_from_slice(&acc.to_le_bytes());
         }
         let total = acc;
-        for v in &mut cdf {
-            *v /= total;
+        let scale = (1u64 << VARIATE_BITS) as f64;
+        for i in 0..n {
+            let at = 8 * i;
+            let cum = f64::from_le_bytes(table[at..at + 8].try_into().expect("8 bytes"));
+            // `cum / total` is the CDF entry; scaling it by 2⁵³ is exact,
+            // and the cast truncates: the floor.
+            let t = if i + 1 == n {
+                THRESHOLD_MASK
+            } else {
+                (cum / total * scale) as u64
+            };
+            // Entry i's packed slot [7i, 7i + 7) ends before entry i + 1
+            // starts at 8i + 8, and entry i itself has been read.
+            let to = THRESHOLD_BYTES * i;
+            table[to..to + THRESHOLD_BYTES].copy_from_slice(&t.to_le_bytes()[..THRESHOLD_BYTES]);
         }
-        ZipfSampler { cdf }
+        table[THRESHOLD_BYTES * n..].fill(0);
+        let mut z = ZipfSampler {
+            table: table.into_boxed_slice(),
+        };
+        let (g, guide_at) = (z.buckets(), z.guide_at());
+        let mut i = 0;
+        for b in 0..g {
+            while bucket(z.threshold(i), g) < b {
+                i += 1;
+            }
+            let at = guide_at + 4 * b;
+            z.table[at..at + 4].copy_from_slice(&(i as u32).to_le_bytes());
+        }
+        z
     }
 
     /// Number of elements in the support.
     pub fn len(&self) -> usize {
-        self.cdf.len()
+        self.table.len() / 8
     }
 
     pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
+        self.len() == 0
     }
 
-    /// Draw an index in `0..n`; index 0 is the most popular.
+    /// Draw an index in `0..n`; index 0 is the most popular. Consumes
+    /// one `next_u64`, exactly as [`Rng64::f64_unit`] does.
+    #[inline]
     pub fn sample(&self, rng: &mut Rng64) -> usize {
-        let u = rng.f64_unit();
-        match self
-            .cdf
-            .binary_search_by(|probe| probe.partial_cmp(&u).expect("cdf is finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
+        self.index(rng.next_u64() >> (64 - VARIATE_BITS))
     }
+
+    /// The index for the 53-bit variate `m < 2⁵³`: the first `i` with
+    /// `cdf[i] ≥ m · 2⁻⁵³`, or `n − 1` if there is none.
+    ///
+    /// Exactness: `cdf[i] · 2⁵³` is exact, and for an integer `m`,
+    /// `cdf[i] · 2⁵³ ≥ m` holds exactly when `⌊cdf[i] · 2⁵³⌋ ≥ m`, so
+    /// the first threshold at least `m` marks the same index. Thresholds
+    /// never decrease, so the scan from the bucket's guide entry passes
+    /// only indices whose threshold is below `m`, and it ends at `n − 1`
+    /// at the latest, whose sentinel exceeds every variate.
+    #[inline]
+    pub fn index(&self, m: u64) -> usize {
+        debug_assert!(m < 1 << VARIATE_BITS);
+        let g = self.buckets();
+        let mut i = if g == 0 {
+            0
+        } else {
+            let at = self.guide_at() + 4 * bucket(m, g);
+            u32::from_le_bytes(self.table[at..at + 4].try_into().expect("4 bytes")) as usize
+        };
+        while self.threshold(i) < m {
+            i += 1;
+        }
+        i
+    }
+
+    /// Threshold of index `i`.
+    #[inline]
+    fn threshold(&self, i: usize) -> u64 {
+        let at = THRESHOLD_BYTES * i;
+        let word: [u8; 8] = self.table[at..at + 8].try_into().expect("8 bytes");
+        u64::from_le_bytes(word) & THRESHOLD_MASK
+    }
+
+    /// Guide buckets `g = ⌊(n − 1) / 4⌋`: the most whose `u32` entries
+    /// fit in the `n − 1` bytes after the thresholds and the pad byte.
+    #[inline]
+    fn buckets(&self) -> usize {
+        (self.len() - 1) / 4
+    }
+
+    /// Byte offset of the guide table.
+    #[inline]
+    fn guide_at(&self) -> usize {
+        THRESHOLD_BYTES * self.len() + 1
+    }
+}
+
+/// Bucket of variate (or threshold) `m` among `g` equal buckets of
+/// `[0, 2⁵³)`; monotone in `m`, and `g` or more for `m ≥ 2⁵³`.
+#[inline]
+fn bucket(m: u64, g: usize) -> usize {
+    ((m as u128 * g as u128) >> VARIATE_BITS) as usize
 }
 
 #[cfg(test)]
@@ -222,6 +330,29 @@ mod tests {
         }
         for &c in &counts {
             assert!((3500..6500).contains(&c), "not uniform: {counts:?}");
+        }
+    }
+
+    #[test]
+    fn zipf_tables_fit_in_one_f64_cdf() {
+        for n in (1..=64).chain([1000, 16_384, 16_385, 100_003]) {
+            let z = ZipfSampler::new(n, 1.0);
+            assert_eq!(z.table.len(), 8 * n);
+            assert!(z.guide_at() + 4 * z.buckets() <= 8 * n, "n={n}");
+        }
+    }
+
+    #[test]
+    fn zipf_index_spans_the_support_monotonically() {
+        for (n, s) in [(1, 0.0), (7, 0.0), (100, 1.2), (5000, 3.0)] {
+            let z = ZipfSampler::new(n, s);
+            assert_eq!(z.index(0), 0);
+            assert_eq!(z.index((1 << 53) - 1), n - 1);
+            let mut r = Rng64::new(n as u64);
+            let mut ms: Vec<u64> = (0..2000).map(|_| r.next_u64() >> 11).collect();
+            ms.sort_unstable();
+            let idx: Vec<usize> = ms.iter().map(|&m| z.index(m)).collect();
+            assert!(idx.windows(2).all(|w| w[0] <= w[1]), "n={n} s={s}");
         }
     }
 

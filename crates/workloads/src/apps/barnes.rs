@@ -15,6 +15,7 @@ use crate::region::{Layout, Region};
 use crate::stream::{OpBuf, PhaseGen, Scale};
 use crate::workload::Workload;
 use coma_types::ZipfSampler;
+use std::sync::Arc;
 
 const SALT: u64 = 0xBA51;
 const BASE_ITERS: u32 = 28;
@@ -30,7 +31,7 @@ struct Barnes {
     own_bodies: Region,
     own_tree_part: Region,
     tree_parts: Vec<Region>,
-    zipf: ZipfSampler,
+    zipf: Arc<ZipfSampler>,
 }
 
 impl PhaseGen for Barnes {
@@ -90,7 +91,7 @@ pub fn build(nprocs: usize, seed: u64, scale: Scale, ws_bytes: u64) -> Workload 
     let tree = layout.alloc_bytes(ws_bytes - ws_bytes / 2);
     let body_parts = bodies.partition(nprocs);
     let tree_parts = tree.partition(nprocs);
-    let zipf = ZipfSampler::new(tree.lines() as usize, 1.25);
+    let zipf = super::shared_zipf(tree.lines(), 1.25);
     let streams = super::build_streams(nprocs, seed, SALT, (60, 140), |me| Barnes {
         me,
         nprocs,

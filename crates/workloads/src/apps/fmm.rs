@@ -13,6 +13,7 @@ use crate::region::{Layout, Region};
 use crate::stream::{OpBuf, PhaseGen, Scale};
 use crate::workload::Workload;
 use coma_types::ZipfSampler;
+use std::sync::Arc;
 
 const SALT: u64 = 0xF33;
 const BASE_ITERS: u32 = 12;
@@ -24,7 +25,7 @@ struct Fmm {
     iters: u32,
     cell_parts: Vec<Region>,
     tree_upper: Region,
-    zipf: ZipfSampler,
+    zipf: Arc<ZipfSampler>,
 }
 
 impl PhaseGen for Fmm {
@@ -90,7 +91,7 @@ pub fn build(nprocs: usize, seed: u64, scale: Scale, ws_bytes: u64) -> Workload 
     let cells = layout.alloc_bytes(ws_bytes - tree_bytes);
     let tree_upper = layout.alloc_bytes(tree_bytes);
     let cell_parts = cells.partition(nprocs);
-    let zipf = ZipfSampler::new(tree_upper.lines() as usize, 1.2);
+    let zipf = super::shared_zipf(tree_upper.lines(), 1.2);
     let streams = super::build_streams(nprocs, seed, SALT, (60, 140), |me| Fmm {
         me,
         nprocs,

@@ -68,13 +68,35 @@ impl KvSpec {
         }
     }
 
-    /// Reject degenerate configurations before any region is allocated.
+    /// Reject degenerate configurations before any region is allocated:
+    /// an empty store, more keys than a `u32` id can name, a negative or
+    /// non-finite Zipf exponent, or a fraction outside [0, 1].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.n_keys == 0 {
             return Err(ConfigError::EmptyWorkload {
                 family: "kv_zipf",
                 what: "n_keys",
             });
+        }
+        let out_of_range = |what, domain| {
+            Err(ConfigError::WorkloadParameterOutOfRange {
+                family: "kv_zipf",
+                what,
+                domain,
+            })
+        };
+        if self.n_keys > u32::MAX as u64 {
+            // Key ids (the popularity permutation) are stored as u32.
+            return out_of_range("n_keys", "at most 2^32 - 1");
+        }
+        if !(self.zipf_s.is_finite() && self.zipf_s >= 0.0) {
+            return out_of_range("zipf_s", "finite and non-negative");
+        }
+        if !(0.0..=1.0).contains(&self.write_frac) {
+            return out_of_range("write_frac", "in [0, 1]");
+        }
+        if !(0.0..=1.0).contains(&self.client_skew) {
+            return out_of_range("client_skew", "in [0, 1]");
         }
         Ok(())
     }
@@ -142,7 +164,6 @@ pub fn build_spec(
 ) -> Result<Workload, ConfigError> {
     spec.validate()?;
     let n_keys = spec.n_keys;
-    assert!(n_keys <= u32::MAX as u64, "key ids are stored as u32");
     let mut layout = Layout::new();
     let index = layout.alloc_lines(n_keys.div_ceil(KEYS_PER_INDEX_LINE));
     let values = layout.alloc_lines(n_keys);
@@ -152,7 +173,7 @@ pub fn build_spec(
     let mut perm: Vec<u32> = (0..n_keys as u32).collect();
     prng.shuffle(&mut perm);
     let perm = Arc::new(perm);
-    let zipf = Arc::new(ZipfSampler::new(n_keys as usize, spec.zipf_s));
+    let zipf = super::shared_zipf(n_keys, spec.zipf_s);
 
     let (write_frac, client_skew) = (spec.write_frac, spec.client_skew);
     let streams = super::build_streams(nprocs, seed, SALT, (1, 4), |me| KvZipf {
@@ -197,6 +218,68 @@ mod tests {
             })
         );
         assert!(build_spec(&spec(0), 4, 1, Scale::SMOKE).is_err());
+    }
+
+    /// Every value of `field` in `bad` is rejected by `validate` and by
+    /// `build_spec` (which would otherwise panic in the sampler or skew
+    /// the mix silently), naming the field; the boundary values pass.
+    fn assert_rejected(field: &str, set: fn(&mut KvSpec, f64), bad: &[f64], good: &[f64]) {
+        for &v in bad {
+            let mut s = spec(64);
+            set(&mut s, v);
+            match s.validate() {
+                Err(ConfigError::WorkloadParameterOutOfRange { family, what, .. }) => {
+                    assert_eq!((family, what), ("kv_zipf", field), "{field} = {v}")
+                }
+                other => panic!("{field} = {v}: {other:?}"),
+            }
+            assert!(build_spec(&s, 2, 1, Scale::SMOKE).is_err(), "{field} = {v}");
+        }
+        for &v in good {
+            let mut s = spec(64);
+            set(&mut s, v);
+            assert_eq!(s.validate(), Ok(()), "{field} = {v}");
+        }
+    }
+
+    #[test]
+    fn key_count_beyond_u32_ids_rejected() {
+        assert_rejected(
+            "n_keys",
+            |s, v| s.n_keys = v as u64,
+            &[(1u64 << 32) as f64],
+            &[u32::MAX as f64],
+        );
+    }
+
+    #[test]
+    fn bad_zipf_exponent_rejected() {
+        assert_rejected(
+            "zipf_s",
+            |s, v| s.zipf_s = v,
+            &[-0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY],
+            &[0.0, 3.0],
+        );
+    }
+
+    #[test]
+    fn write_fraction_outside_unit_interval_rejected() {
+        assert_rejected(
+            "write_frac",
+            |s, v| s.write_frac = v,
+            &[-0.1, 1.5, f64::NAN],
+            &[0.0, 1.0],
+        );
+    }
+
+    #[test]
+    fn client_skew_outside_unit_interval_rejected() {
+        assert_rejected(
+            "client_skew",
+            |s, v| s.client_skew = v,
+            &[-1.0, 1.01, f64::NAN],
+            &[0.0, 1.0],
+        );
     }
 
     #[test]

@@ -26,8 +26,21 @@ pub mod synth;
 pub mod volrend;
 pub mod water;
 
+#[cfg(test)]
+mod zipf_exact;
+
 use crate::op::OpStream;
 use crate::stream::{proc_rng, PhaseGen, Scale, Stream};
+use coma_types::ZipfSampler;
+use std::sync::Arc;
+
+/// The one Zipf sampler a workload builds, over `n` lines with exponent
+/// `s`; its processors share it.
+pub(crate) fn shared_zipf(n: u64, s: f64) -> Arc<ZipfSampler> {
+    #[cfg(test)]
+    zipf_exact::record_shape(n, s);
+    Arc::new(ZipfSampler::new(n as usize, s))
+}
 
 /// Build one boxed stream per processor from a per-processor model
 /// constructor, with the application's instruction-gap range applied.

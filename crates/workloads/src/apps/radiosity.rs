@@ -13,6 +13,7 @@ use crate::region::{Layout, Region};
 use crate::stream::{OpBuf, PhaseGen, Scale};
 use crate::workload::Workload;
 use coma_types::ZipfSampler;
+use std::sync::Arc;
 
 const SALT: u64 = 0x4AD0;
 const BASE_ITERS: u32 = 9;
@@ -25,7 +26,7 @@ struct Radiosity {
     iters: u32,
     scene: Region,
     elem_parts: Vec<Region>,
-    zipf: ZipfSampler,
+    zipf: Arc<ZipfSampler>,
 }
 
 impl PhaseGen for Radiosity {
@@ -84,7 +85,7 @@ pub fn build(nprocs: usize, seed: u64, scale: Scale, ws_bytes: u64) -> Workload 
     let scene = layout.alloc_bytes(ws_bytes * 55 / 100);
     let elems = layout.alloc_bytes(ws_bytes - ws_bytes * 55 / 100);
     let elem_parts = elems.partition(nprocs);
-    let zipf = ZipfSampler::new(scene.lines() as usize, 1.1);
+    let zipf = super::shared_zipf(scene.lines(), 1.1);
     let streams = super::build_streams(nprocs, seed, SALT, (60, 140), |me| Radiosity {
         me,
         nprocs,

@@ -10,6 +10,7 @@ use crate::region::{Layout, Region};
 use crate::stream::{OpBuf, PhaseGen, Scale};
 use crate::workload::Workload;
 use coma_types::ZipfSampler;
+use std::sync::Arc;
 
 const SALT: u64 = 0x57A7;
 
@@ -71,7 +72,7 @@ struct Synth {
     iters: u32,
     shared: Option<Region>,
     parts: Vec<Region>,
-    zipf: Option<ZipfSampler>,
+    zipf: Option<Arc<ZipfSampler>>,
 }
 
 impl PhaseGen for Synth {
@@ -141,7 +142,7 @@ pub fn build(nprocs: usize, seed: u64, scale: Scale, spec: SynthSpec) -> Workloa
     let shared = (shared_bytes >= 64).then(|| layout.alloc_bytes(shared_bytes));
     let part_region = layout.alloc_bytes((spec.ws_bytes - shared_bytes).max(64 * nprocs as u64));
     let parts = part_region.partition(nprocs);
-    let zipf = shared.map(|s| ZipfSampler::new(s.lines() as usize, spec.zipf_s));
+    let zipf = shared.map(|s| super::shared_zipf(s.lines(), spec.zipf_s));
     let n_locks = spec.n_locks;
     let gap = spec.gap;
     let iters = scale.iters(spec.iters);

@@ -13,6 +13,7 @@ use crate::region::{Layout, Region};
 use crate::stream::{OpBuf, PhaseGen, Scale};
 use crate::workload::Workload;
 use coma_types::ZipfSampler;
+use std::sync::Arc;
 
 const SALT: u64 = 0x701;
 const BASE_ITERS: u32 = 24;
@@ -27,7 +28,7 @@ struct Volrend {
     volume: Region,
     octree: Region,
     own_tile: Region,
-    octree_zipf: ZipfSampler,
+    octree_zipf: Arc<ZipfSampler>,
 }
 
 impl PhaseGen for Volrend {
@@ -80,7 +81,7 @@ pub fn build(nprocs: usize, seed: u64, scale: Scale, ws_bytes: u64) -> Workload 
     let octree = layout.alloc_bytes(octree_bytes);
     let image = layout.alloc_bytes(image_bytes);
     let tiles = image.partition(nprocs);
-    let octree_zipf = ZipfSampler::new(octree.lines() as usize, 1.0);
+    let octree_zipf = super::shared_zipf(octree.lines(), 1.0);
     let streams = super::build_streams(nprocs, seed, SALT, (40, 100), |me| Volrend {
         me,
         nprocs,

@@ -23,7 +23,8 @@ pub struct Scale(pub f64);
 impl Scale {
     /// Full-length runs used for the paper-reproduction experiments.
     pub const PAPER: Scale = Scale(1.0);
-    /// Reduced runs for Criterion benches.
+    /// Quarter-length runs: `--scale bench` in the CLI, `COMA_SCALE=bench`
+    /// for the experiment binaries.
     pub const BENCH: Scale = Scale(0.25);
     /// Minimal runs for integration tests.
     pub const SMOKE: Scale = Scale(0.08);

@@ -36,20 +36,36 @@ echo "==> traffic smoke: both production-traffic families through the sweep"
 COMA_SCALE=smoke COMA_OUT=$(mktemp -d) \
   cargo run --release --offline -p coma-experiments --bin traffic -- --smoke
 
+echo "==> benchmark correctness: perfbench tests, then every pinned SimReport"
+# The repository benchmark is a workspace of its own, so the tier-1 run
+# above does not compile it: its tests build it against the simulator's
+# public API. One short run of all four workloads at seed 42 then checks
+# every simulation and sweep cell against the fingerprints pinned in
+# perfbench/pinned.txt. perfbench exits 0 even when a fingerprint is
+# wrong; its verdict is the "correct" field of the last stdout line.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+verdict=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload all --seed 42 --seconds 1 | tail -n 1)
+case "$verdict" in
+  *'"correct":true'*) ;;
+  *) echo "perfbench reports incorrect results: $verdict" >&2; exit 1 ;;
+esac
+
 echo "==> bench + perf guard: 3 iterations per case, minima vs baseline"
 # The bench overwrites the tracked baseline, so park it first. Three
 # iterations give a usable per-case minimum (the least noise-contaminated
 # estimate of a deterministic simulation's cost); the guard then fails
 # the gate if any tracked case's fresh min_ns regressed more than 10%
 # past the committed BENCH_sim.json. Override the tolerance with
-# PERF_TOLERANCE_PCT for known-noisy machines.
+# PERF_TOLERANCE_PCT for known-noisy machines. The trap puts the tracked
+# baseline back however the script exits, a failing guard included.
 baseline=$(mktemp)
 cp BENCH_sim.json "$baseline"
+trap 'mv "$baseline" BENCH_sim.json' EXIT
 cargo bench -p coma-bench --bench perf --offline -- --iters 3
 grep -q '"schema": "coma-bench-sim/1"' BENCH_sim.json
 grep -q '"cases": \[' BENCH_sim.json
 cargo run --release --offline -p coma-bench --bin perf_guard -- \
   "$baseline" BENCH_sim.json --tolerance-pct "${PERF_TOLERANCE_PCT:-10}"
-mv "$baseline" BENCH_sim.json
 
 echo "OK: all checks passed"
